@@ -32,7 +32,6 @@ class FieldTables:
         self.code_of = {e: i for i, e in enumerate(elems)}
         self.generator = self._find_generator()
         m = q - 1
-        exp = array("l", [0]) * 0
         exp = array("l", [1] * m)
         g = self.generator
         cur = 1

@@ -11,12 +11,28 @@ s_operator(i, "S") is the sum of [lambda]^i (lambda 1; 1 0) over units, and
 s_operator(i, "S_plus") the sum of [lambda]^i (1 0; lambda 1); index 0 means
 the augmented operators (antidiagonal + index q-1, resp. identity + index
 q-1).
+
+Every S+ chain and every S_i S+_j is a product x y with x supported on one
+coset c U- (c = 1 or w) and y on U-, and u-(lambda) u-(mu) = u-(lambda+mu).
+u_convolve multiplies such a pair as an additive convolution over (Z/p)^f by
+Kronecker substitution.  Each operand is packed into one integer, one slot
+per (field digit vector, t-degree), each slot wide enough in decimal digits
+for the bound q f (p^N-1)^2 on a product coefficient, so no slot carries
+into the next.  The integer is a decimal.Decimal, so the one big multiply
+runs on libmpdec's number-theoretic transform, in a context that raises on
+any rounding.  The product is unpacked, folded mod p per field digit and
+reduced by the modulus and mod p^N.  This still multiplies out term by
+term, only all terms at once; ga_multiply, the generic GL2 product, stays as
+the oracle the kernel is checked against.
 """
 
+import decimal
+from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 
 from wittcycle import _tables
-from wittcycle.jacobi import factorial_mod_p
+from wittcycle.jacobi import _digits, factorial_mod_p
 from wittcycle.padic import (
     PRECISION_INF,
     PrecisionError,
@@ -62,10 +78,6 @@ def gl2_inv(g, params):
         mul[neg[c] * q + di],
         mul[a * q + di],
     )
-
-
-def lower_unipotent(lam_code):
-    return (1, 0, lam_code, 1)
 
 
 def identity_elem(params):
@@ -135,6 +147,114 @@ def ga_multiply(x, y, params):
     return {k: v for k, v in out.items() if any(v)}
 
 
+@lru_cache(maxsize=None)
+def _u_layout(p, f):
+    """Slot geometry of a packed U- operand over F_q, q = p^f.
+
+    A slot index is k + T*(z_0 + W*z_1 + ... + W^(f-1)*z_(f-1)): k is the
+    t-degree of a coefficient (T = 2f-1 slots, room for a product) and z_i a
+    field digit (width W = 2p-1, room for a digit sum).  offset[code] is the
+    slot of t-degree 0 for a field code; target[j] is code*T + k for the code
+    whose digits are those of product slot j folded mod p.
+    """
+    T, W = 2 * f - 1, 2 * p - 1
+    offset = [
+        T * sum(d * W**i for i, d in enumerate(_digits(code, p, f)))
+        for code in range(p**f)
+    ]
+    target = array("l")
+    for z in range(W**f):
+        code = sum((d % p) * p**i for i, d in enumerate(_digits(z, W, f)))
+        target.extend(code * T + k for k in range(T))
+    return offset, target
+
+
+def _coset_of(x):
+    """'1' if every key of x is (1,0,lam,1), 'w' if every key is (lam,1,1,0)."""
+    coset = None
+    for a, b, c, d in x:
+        if a == 1 and b == 0 and d == 1:
+            this = "1"
+        elif b == 1 and c == 1 and d == 0:
+            this = "w"
+        else:
+            raise ValueError("operand leaves the cosets U- and wU-")
+        if coset is None:
+            coset = this
+        elif this != coset:
+            raise ValueError("operand spans both cosets U- and wU-")
+    return coset
+
+
+def _pack(x, lam_index, offset, width, params):
+    """One Decimal whose base-10^width digits are x's coefficients, by slot."""
+    pN = params.pN
+    top = max(offset[g[lam_index]] for g in x) + params.f
+    zero = "0" * width
+    slots = [zero] * top
+    for g, coeff in x.items():
+        base = offset[g[lam_index]]
+        for k, v in enumerate(coeff):
+            if v:
+                slots[base + k] = "%0*d" % (width, v % pN)
+    slots.reverse()
+    return decimal.Decimal("".join(slots))
+
+
+def u_convolve(x, y, params):
+    """The product x y, for x supported on one coset cU- and y on U-.
+
+    Keys of x are all (1,0,lam,1) (c = 1) or all (lam,1,1,0) (c = w, with
+    GL2_W as lam = 0); keys of y are all (1,0,mu,1).  Since
+    c u-(lam) u-(mu) = c u-(lam+mu), the product is the additive convolution
+    of the coefficient vectors over F_q = (Z/p)^f, landing on cU-.  Returns
+    the same dict as ga_multiply(x, y, params); raises ValueError if either
+    operand leaves its coset.
+    """
+    coset = _coset_of(x)
+    if _coset_of(y) not in (None, "1"):
+        raise ValueError("right operand must lie on U-")
+    if not x or not y:
+        return {}
+    p, f, pN, mod = params.p, params.f, params.pN, params.modulus
+    T = 2 * f - 1
+    offset, target = _u_layout(p, f)
+    # a product slot sums at most q*f products of two coefficients < p^N
+    width = len(str(params.q * f * (pN - 1) ** 2))
+    lam_x = 2 if coset == "1" else 0
+    # exact integer arithmetic: a rounded product would be wrong in every
+    # slot, so rounding of any kind raises instead
+    exact = decimal.Context(
+        prec=decimal.MAX_PREC,
+        Emax=decimal.MAX_EMAX,
+        traps=[decimal.Inexact, decimal.Rounded, decimal.Overflow, decimal.InvalidOperation],
+    )
+    prod = exact.multiply(
+        _pack(x, lam_x, offset, width, params), _pack(y, 2, offset, width, params)
+    )
+    digits = format(prod, "f")
+    span = -(-len(digits) // width) * width
+    digits = digits.zfill(span)
+    acc = [0] * (params.q * T)
+    for t, i in zip(target, range(span - width, -1, -width)):
+        v = int(digits[i : i + width])
+        if v:
+            acc[t] += v
+    out = {}
+    for code in range(params.q):
+        c = acc[code * T : code * T + T]
+        for k in range(T - 1, f - 1, -1):
+            t = c[k]
+            if t:
+                base = k - f
+                for i in range(f):
+                    c[base + i] -= t * mod[i]
+        w = tuple(v % pN for v in c[:f])
+        if any(w):
+            out[(1, 0, code, 1) if coset == "1" else (code, 1, 1, 0)] = w
+    return out
+
+
 def ga_act_matrix(g, x, params):
     """Left translate of a group-algebra element by a single group element."""
     return ga_multiply({g: (1,) + (0,) * (params.f - 1)}, x, params)
@@ -156,10 +276,6 @@ class ContractionResult:
     v_beta: int
     lead_beta: tuple
     params: object
-
-
-def _digits(n, p, f):
-    return tuple((n // p**i) % p for i in range(f))
 
 
 def contraction_valuation(indices, params):
@@ -225,7 +341,7 @@ def contract_splus(indices, params, max_escalations=6):
 def _contract_once(indices, params):
     prod = s_operator(indices[0], "S_plus", params)
     for i in indices[1:]:
-        prod = ga_multiply(prod, s_operator(i, "S_plus", params), params)
+        prod = u_convolve(prod, s_operator(i, "S_plus", params), params)
     q = params.q
     alpha = None
     seen = 0

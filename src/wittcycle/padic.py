@@ -14,7 +14,7 @@ callers are expected to retry at higher precision.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 PRECISION_INF = math.inf
 
@@ -148,8 +148,10 @@ class Params:
     def q(self):
         return self.p ** self.f
 
-    @property
+    @cached_property
     def pN(self):
+        # read in every inner loop; kept in the instance __dict__, outside
+        # the fields, so equality, hashing and pickling are unchanged
         return self.p ** self.N
 
     @staticmethod

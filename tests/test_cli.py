@@ -1,8 +1,19 @@
 import json
+import os
+import random
 
 import pytest
 
-from wittcycle.cli import RunConfig, build_parser, canonical_json, main, run
+from wittcycle.cli import (
+    RunConfig,
+    _pool_size,
+    _scan_pairs,
+    build_parser,
+    canonical_json,
+    main,
+    run,
+)
+from wittcycle.padic import Params
 
 
 def _json_report(capsys, argv):
@@ -164,3 +175,40 @@ def test_single_r_value_repeats(capsys):
     )
     assert code == 0
     assert rep["rho"]["r"] == [2, 2]
+
+
+def _scan_pairs_by_list(params, limit, seed):
+    # the list-based sampler the position decoder replaced, kept as a reference
+    q = params.q
+    pairs = [
+        (a, b)
+        for a in range(1, q - 1)
+        for b in range(1, q - 1)
+        if a + b != q - 1 and (a + b) % (q - 1)
+    ]
+    if limit is not None and limit < len(pairs):
+        pairs = sorted(random.Random(seed).sample(pairs, limit))
+    return pairs
+
+
+@pytest.mark.parametrize("p, f", [(7, 1), (7, 2), (11, 2), (13, 2)])
+def test_scan_pairs_sample_equals_list_sample(p, f):
+    params = Params.make(p, f)
+    n = (params.q - 2) * (params.q - 3)
+    for seed in (0, 1, 7, 12345):
+        for limit in (None, 0, 1, 10, n // 2, n - 1, n, n + 5):
+            got = _scan_pairs(params, limit, random.Random(seed))
+            assert got == _scan_pairs_by_list(params, limit, seed), (seed, limit)
+
+
+def test_pool_size_is_clamped(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert _pool_size(1, 10) == 1
+    assert _pool_size(3, 10) == 3
+    assert _pool_size(10**9, 10) == 4
+    assert _pool_size(8, 2) == 2
+    assert _pool_size(0, 5) == 1
+    assert _pool_size(-3, 5) == 1
+    assert _pool_size(4, 0) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _pool_size(8, 8) == 1

@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from wittcycle._tables import tables_for
 from wittcycle.group_algebra import (
     GL2_ID,
     GL2_W,
@@ -18,9 +20,10 @@ from wittcycle.group_algebra import (
     gl2_mul,
     identity_elem,
     s_operator,
+    u_convolve,
 )
 from wittcycle.jacobi import jacobi_sum
-from wittcycle.padic import Params, fq_neg, witt_mul
+from wittcycle.padic import Params, fq_neg, witt_mul, witt_neg, witt_sub
 
 P71 = Params.make(7, 1, N=5)
 P72 = Params.make(7, 2)
@@ -218,3 +221,148 @@ def test_result_type_fields():
     r = contract_splus((4, 2), P71)
     assert isinstance(r, ContractionResult)
     assert r.params.p == 7
+
+
+# ------------------------------------------------ the packed U- convolution
+
+_KERNEL_FIELDS = {7: P71, 49: P72, 121: Params.make(11, 2)}
+_qs = st.sampled_from(sorted(_KERNEL_FIELDS))
+_cosets = st.sampled_from(["1", "w"])
+# coefficients come from a seeded random.Random: hypothesis's own randoms
+# favour small values, which would leave the slot widths untested
+_seeds = st.integers(0, 2**32)
+
+
+def _key(coset, lam):
+    return (1, 0, lam, 1) if coset == "1" else (lam, 1, 1, 0)
+
+
+def _sparse(rng, coset, density, params):
+    """Random coefficients, in canonical form, on a random part of cU-."""
+    out = {}
+    for lam in range(params.q):
+        if rng.random() < density:
+            c = tuple(rng.randrange(params.pN) for _ in range(params.f))
+            if any(c):
+                out[_key(coset, lam)] = c
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(_qs, _cosets, st.sampled_from([0.02, 0.2, 1.0]), _seeds)
+def test_u_convolve_matches_oracle_sparse(q, coset, density, seed):
+    params = _KERNEL_FIELDS[q]
+    rng = random.Random(seed)
+    x = _sparse(rng, coset, density, params)
+    y = _sparse(rng, "1", density, params)
+    assert u_convolve(x, y, params) == ga_multiply(x, y, params)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_qs, st.sampled_from(["S", "S_plus"]), st.booleans(), st.data())
+def test_u_convolve_matches_oracle_augmented(q, variant, left, data):
+    # S_0 and S+_0 carry the extra w resp. identity term (lambda = 0)
+    params = _KERNEL_FIELDS[q]
+    j = data.draw(st.integers(0, q - 1))
+    if left:
+        x, y = s_operator(0, variant, params), s_operator(j, "S_plus", params)
+    else:
+        x, y = s_operator(j, variant, params), s_operator(0, "S_plus", params)
+    assert u_convolve(x, y, params) == ga_multiply(x, y, params)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_qs, _cosets, _seeds)
+def test_u_convolve_drops_sums_that_cancel(q, coset, seed):
+    params = _KERNEL_FIELDS[q]
+    rng = random.Random(seed)
+    T = tables_for(params)
+    lam, lam2, mu = (rng.randrange(q) for _ in range(3))
+    if lam == lam2:
+        lam2 = T.add[lam * q + 1]
+    # (c u(lam) + c u(lam2)) (a u(mu) - a u(mu2)) with lam + mu2 = lam2 + mu:
+    # the two middle terms cancel
+    mu2 = T.add[T.sub(lam2, lam) * q + mu]
+    c = tuple(rng.randrange(1, params.pN) for _ in range(params.f))
+    a = (rng.randrange(1, params.p),) + (0,) * (params.f - 1)  # a unit
+    x = {_key(coset, lam): c, _key(coset, lam2): c}
+    y = {_key("1", mu): a, _key("1", mu2): witt_neg(a, params)}
+    got = u_convolve(x, y, params)
+    assert got == ga_multiply(x, y, params)
+    assert _key(coset, T.add[lam * q + mu2]) not in got
+    assert len(got) == 2
+    # coefficients whose valuations add up to N multiply to 0 mod p^N
+    k = rng.randrange(params.N + 1)
+    x = {_key(coset, lam): (params.p**k % params.pN,) + (0,) * (params.f - 1)}
+    y = {_key("1", mu): (params.p ** (params.N - k) % params.pN,) + (0,) * (params.f - 1)}
+    assert u_convolve(x, y, params) == ga_multiply(x, y, params) == {}
+
+
+@pytest.mark.parametrize("q", sorted(_KERNEL_FIELDS))
+@pytest.mark.parametrize("coset", ["1", "w"])
+def test_u_convolve_extreme_coefficients(q, coset):
+    # every coefficient p^N - 1 on all of cU- and U-: each product slot
+    # reaches the bound its width is sized for
+    params = _KERNEL_FIELDS[q]
+    top = (params.pN - 1,) * params.f
+    x = {_key(coset, lam): top for lam in range(q)}
+    y = {_key("1", lam): top for lam in range(q)}
+    assert u_convolve(x, y, params) == ga_multiply(x, y, params)
+
+
+def test_u_convolve_empty_operands():
+    assert u_convolve({}, s_operator(1, "S_plus", P72), P72) == {}
+    assert u_convolve(s_operator(1, "S", P72), {}, P72) == {}
+
+
+def test_u_convolve_rejects_off_coset_operands():
+    one = (1, 0)
+    sp, s = s_operator(3, "S_plus", P72), s_operator(3, "S", P72)
+    with pytest.raises(ValueError):
+        u_convolve({(2, 0, 0, 1): one}, sp, P72)  # a torus element
+    with pytest.raises(ValueError):
+        u_convolve(ga_add(sp, {GL2_W: one}, P72), sp, P72)  # both cosets
+    with pytest.raises(ValueError):
+        u_convolve(sp, s, P72)  # right operand on wU-
+    with pytest.raises(ValueError):
+        u_convolve(sp, {GL2_ID: one, GL2_W: one}, P72)
+    with pytest.raises(ValueError):
+        u_convolve(sp, {(1, 2, 0, 1): one}, P72)  # upper unipotent
+
+
+def _oracle_contraction(indices, params):
+    prod = s_operator(indices[0], "S_plus", params)
+    for i in indices[1:]:
+        prod = ga_multiply(prod, s_operator(i, "S_plus", params), params)
+    zero = (0,) * params.f
+    alpha = prod.get((1, 0, 1, 1), zero)
+    for lam in range(1, params.q):
+        assert prod.get((1, 0, lam, 1), zero) == alpha
+    assert set(prod) <= {(1, 0, lam, 1) for lam in range(params.q)}
+    beta = witt_sub(prod.get(GL2_ID, zero), alpha, params)
+    return alpha, beta
+
+
+def test_contract_splus_matches_oracle_chain_q49():
+    q = P72.q
+    rng = random.Random(4949)
+    done = 0
+    while done < 6:
+        k = 2 + done % 3
+        idx = [rng.randrange(1, q - 1) for _ in range(k - 1)]
+        idx.append((-sum(idx)) % (q - 1))
+        try:
+            check_contract_pre(tuple(idx), P72)
+        except ValueError:
+            continue
+        res = contract_splus(idx, P72)
+        assert (res.alpha, res.beta) == _oracle_contraction(idx, res.params), idx
+        done += 1
+
+
+def test_u_convolve_reads_coefficients_mod_pN():
+    # ga_multiply reduces whatever it is given; the kernel agrees
+    m = P72.pN
+    x = {(1, 0, 3, 1): (m + 2, -1), GL2_ID: (-m, 5 * m + 4)}
+    y = {(1, 0, 9, 1): (3 * m - 1, 7), (1, 0, 40, 1): (-8, m)}
+    assert u_convolve(x, y, P72) == ga_multiply(x, y, P72)

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -180,3 +181,19 @@ def test_fq_field_axioms_small():
         assert fq_pow(fq_add(a, b, P), P.p, P) == fq_add(
             fq_pow(a, P.p, P), fq_pow(b, P.p, P), P
         )
+
+
+def test_params_cached_pN_keeps_identity():
+    a = Params.make(7, 2)
+    b = Params.make(7, 2)
+    h = hash(a)
+    assert a.pN == 7**8 and "pN" in vars(a)
+    assert a == b and hash(a) == hash(b) == h
+    assert repr(a) == repr(b)
+    c = pickle.loads(pickle.dumps(a))
+    assert c == a and hash(c) == h and c.pN == a.pN
+    d = pickle.loads(pickle.dumps(b))  # pickled before pN was read
+    assert d == a and hash(d) == h and d.pN == a.pN
+    higher = a.with_precision(10)
+    assert higher.pN == 7**10 and raise_precision(a).pN == 7 ** (8 + 4)
+    assert higher != a
