@@ -45,6 +45,7 @@ from wittcycle.padic import (
     fq_one,
     teichmuller,
     valuation_and_unit,
+    witt_from_int,
     witt_mul,
     witt_one,
     witt_pow,
@@ -138,9 +139,16 @@ def _check(name, expected, got):
     return {"name": name, "pass": e == g, "expected": e, "got": g}
 
 
-def _tally_check(name, failures, detail=None):
-    got = failures if detail is None else {"failures": failures, "first": detail}
-    return {"name": name, "pass": failures == 0, "expected": 0, "got": _ser(got)}
+def _tally(name, cases):
+    """One check that no (detail, ok) case fails.
+
+    got is the failure count, paired with the first failure's detail when
+    that case has one.
+    """
+    failed = [detail for detail, ok in cases if not ok]
+    first = failed[0] if failed else None
+    got = len(failed) if first is None else {"failures": len(failed), "first": first}
+    return {"name": name, "pass": not failed, "expected": 0, "got": _ser(got)}
 
 
 def _item(inputs, outputs, provenance, checks):
@@ -150,10 +158,6 @@ def _item(inputs, outputs, provenance, checks):
         "provenance": provenance,
         "checks": checks,
     }
-
-
-def _wint(n, params):
-    return (n % params.pN,) + (0,) * (params.f - 1)
 
 
 def _build_rho(cfg, params):
@@ -202,6 +206,11 @@ def _cmd_field_info(cfg, params):
 # -------------------------------------------------------------------- jacobi
 
 
+def _complementary_value(a, params):
+    """J(a, q-1-a) in the standard convention: (-1)^(a+1)."""
+    return witt_from_int(1 if (a + 1) % 2 == 0 else -1, params)
+
+
 def _jacobi_checks(a, b, convention, value, params):
     q = params.q
     checks = [
@@ -220,8 +229,7 @@ def _jacobi_checks(a, b, convention, value, params):
             _check("leading digit equals factorial unit", fq_from_int(data.unit, params), lead)
         )
     if 0 < a < q - 1 and a + b == q - 1 and convention == "standard":
-        want = _wint(1 if (a + 1) % 2 == 0 else -1, params)
-        checks.append(_check("complementary pair value", want, value))
+        checks.append(_check("complementary pair value", _complementary_value(a, params), value))
     return checks
 
 
@@ -324,9 +332,22 @@ def _cmd_stickelberger_scan(cfg, params):
 # ------------------------------------------------------------------ contract
 
 
+def _contract_checks(indices, res, params):
+    """The four identities a contraction must satisfy, as checks."""
+    return [
+        _check("v_alpha = v_beta - f", res.v_beta - params.f, res.v_alpha),
+        _check("lead_alpha = -lead_beta", fq_neg(res.lead_beta, res.params), res.lead_alpha),
+        _check("v_beta digit formula", contraction_valuation(indices, params), res.v_beta),
+        _check(
+            "lead_beta factorial formula",
+            fq_from_int(contraction_lead(indices, params), res.params),
+            res.lead_beta,
+        ),
+    ]
+
+
 def _cmd_contract(cfg, params):
     indices = cfg.extra["indices"]
-    check_contract_pre(indices, params)
     res = contract_splus(indices, params)
     item = _item(
         {"indices": list(indices)},
@@ -338,16 +359,7 @@ def _cmd_contract(cfg, params):
             "N_used": res.params.N,
         },
         "operator product decomposed against the augmented operator",
-        [
-            _check("v_alpha = v_beta - f", res.v_beta - params.f, res.v_alpha),
-            _check("lead_alpha = -lead_beta", fq_neg(res.lead_beta, res.params), res.lead_alpha),
-            _check("v_beta digit formula", contraction_valuation(indices, params), res.v_beta),
-            _check(
-                "lead_beta factorial formula",
-                fq_from_int(contraction_lead(indices, params), res.params),
-                res.lead_beta,
-            ),
-        ],
+        _contract_checks(indices, res, params),
     )
     return None, [item]
 
@@ -415,11 +427,10 @@ def _cmd_cycles(cfg, params):
     cycles, excluded = survey_orbits(rho)
     items = []
     for cyc in cycles:
-        digit_fail = 0
-        for t in range(cyc.k):
-            digits = iplus_of_step(cyc.subsets[t], rho)
-            if digits_value(digits, params.p) != cyc.iplus[t]:
-                digit_fail += 1
+        digits_ok = (
+            (None, digits_value(iplus_of_step(J, rho), params.p) == iplus)
+            for J, iplus in zip(cyc.subsets, cyc.iplus)
+        )
         items.append(
             _item(
                 {"start": cyc.subsets[0]},
@@ -427,7 +438,7 @@ def _cmd_cycles(cfg, params):
                 "delta orbit walk",
                 [
                     _check("step exponents close up", 0, sum(cyc.iplus) % (params.q - 1)),
-                    _tally_check("digit formula matches character shift", digit_fail),
+                    _tally("digit formula matches character shift", digits_ok),
                 ],
             )
         )
@@ -454,9 +465,8 @@ def _theorem_applicable(rho, params):
 
 
 def _constant_item(cyc, rho, mode, params):
-    cache = {}
     try:
-        rep = breuil_constant(cyc, rho, mode, params, cache=cache)
+        rep = breuil_constant(cyc, rho, mode, params)
     except ArithmeticError as e:
         return _item(
             {"start": cyc.subsets[0], "mode": mode},
@@ -471,8 +481,7 @@ def _constant_item(cyc, rho, mode, params):
     outputs["pieces"] = {
         k: (list(v) if isinstance(v, tuple) else v) for k, v in rep.pieces.items()
     }
-    if cache:
-        _, _, steps = next(iter(cache.values()))
+    if rep.steps is not None:
         outputs["steps"] = [
             {
                 "index": st.index,
@@ -482,7 +491,7 @@ def _constant_item(cyc, rho, mode, params):
                 "lead": list(st.lead),
                 "degenerate": st.degenerate,
             }
-            for st in steps
+            for st in rep.steps
         ]
     checks = [_check("valuation ledger cancels", 0, sum(v for _, v in rep.valuation_ledger))]
     if mode == "stepwise":
@@ -550,7 +559,7 @@ def _relation_holds(i, j, variant, params):
         s0 = s_operator(0, variant, params)
         sign0 = 1 if (i + 1) % 2 == 0 else -1
         signq = q if i % 2 == 0 else -q
-        tail = identity_elem(params) if variant == "S_plus" else {GL2_W: _wint(1, params)}
+        tail = identity_elem(params) if variant == "S_plus" else {GL2_W: witt_one(params)}
         rhs = ga_add(ga_scale(sign0, s0, params), ga_scale(signq, tail, params), params)
     return lhs == rhs
 
@@ -572,35 +581,29 @@ def _random_admissible(rng, k, params):
 
 def _selftest_jacobi(params):
     q = params.q
-    fail = 0
-    first = None
-    for a in range(1, q - 1):
-        want = _wint(1 if (a + 1) % 2 == 0 else -1, params)
-        if jacobi_sum(a, q - 1 - a, "standard", params) != want:
-            fail += 1
-            first = first or {"a": a}
+    cases = (
+        ({"a": a}, jacobi_sum(a, q - 1 - a, "standard", params) == _complementary_value(a, params))
+        for a in range(1, q - 1)
+    )
     return _item(
         {"pairs": q - 2},
         {},
         "complementary pairs",
-        [_tally_check("J(a, q-1-a) = (-1)^(a+1)", fail, first)],
+        [_tally("J(a, q-1-a) = (-1)^(a+1)", cases)],
     )
 
 
 def _selftest_stickelberger(cfg, params, full):
     cap = None if params.q <= 49 else (2000 if full else 200)
     pairs = _scan_pairs(params, cap, random.Random(cfg.seed + 1))
-    fail = 0
-    first = None
-    for it in _scan(params, pairs, cfg.jobs):
-        if not all(c["pass"] for c in it["checks"]):
-            fail += 1
-            first = first or it["inputs"]
+    cases = (
+        (it["inputs"], all(c["pass"] for c in it["checks"])) for it in _scan(params, pairs, cfg.jobs)
+    )
     return _item(
         {"pairs": len(pairs), "exhaustive": cap is None or cap >= len(pairs)},
         {},
         "digit-carry count and factorial unit",
-        [_tally_check("valuation and lead", fail, first)],
+        [_tally("valuation and lead", cases)],
     )
 
 
@@ -612,27 +615,25 @@ def _selftest_relations(cfg, params, full):
     else:
         n = 300 if full else 50
         pairs = [(rng.randrange(1, q - 1), rng.randrange(1, q - 1)) for _ in range(n)]
-    fail = 0
-    first = None
-    for i, j in pairs:
-        if not (_relation_holds(i, j, "S_plus", params) and _relation_holds(i, j, "S", params)):
-            fail += 1
-            first = first or {"i": i, "j": j}
-    comm_fail = 0
-    for _ in range(20):
+    relations = (
+        ({"i": i, "j": j}, all(_relation_holds(i, j, v, params) for v in ("S_plus", "S")))
+        for i, j in pairs
+    )
+
+    def commutes():
         i, j = rng.randrange(1, q - 1), rng.randrange(1, q - 1)
         x, y = s_operator(i, "S_plus", params), s_operator(j, "S_plus", params)
         # the kernel's x y against the generic GL2 product y x, so the check
         # means more than the kernel's own commutativity
-        if u_convolve(x, y, params) != ga_multiply(y, x, params):
-            comm_fail += 1
+        return u_convolve(x, y, params) == ga_multiply(y, x, params)
+
     return _item(
         {"pairs": len(pairs)},
         {},
         "operator product relations",
         [
-            _tally_check("products reduce to jacobi multiples", fail, first),
-            _tally_check("s-plus family commutes", comm_fail),
+            _tally("products reduce to jacobi multiples", relations),
+            _tally("s-plus family commutes", ((None, commutes()) for _ in range(20))),
         ],
     )
 
@@ -640,48 +641,39 @@ def _selftest_relations(cfg, params, full):
 def _selftest_contraction(cfg, params, full):
     rng = random.Random(cfg.seed + 3)
     n = 10 if full else 5
-    fail = 0
-    first = None
     tuples = [_random_admissible(rng, k, params) for k in (2, 3) for _ in range(n)]
-    for t in tuples:
-        res = contract_splus(t, params)
-        ok = (
-            res.v_alpha == res.v_beta - params.f
-            and res.lead_alpha == fq_neg(res.lead_beta, res.params)
-            and res.v_beta == contraction_valuation(t, params)
-            and res.lead_beta == fq_from_int(contraction_lead(t, params), res.params)
+    cases = (
+        (
+            {"indices": list(t)},
+            all(c["pass"] for c in _contract_checks(t, contract_splus(t, params), params)),
         )
-        if not ok:
-            fail += 1
-            first = first or {"indices": list(t)}
+        for t in tuples
+    )
     return _item(
         {"tuples": len(tuples)},
         {},
         "operator contraction",
-        [_tally_check("decomposition identities", fail, first)],
+        [_tally("decomposition identities", cases)],
     )
 
 
-def _selftest_combinatorics(params):
-    f = params.f
-    fail = 0
+def _shift_identities(f):
     for J in subsets_of(f):
-        dr = delta(J, REDUCIBLE, f)
         di = delta(J, IRREDUCIBLE, f)
-        if delta(complement(J, f), IRREDUCIBLE, f) != complement(di, f):
-            fail += 1
-        if len(J ^ di) % 2 == 0 or len(J ^ dr) % 2 == 1:
-            fail += 1
+        yield None, delta(complement(J, f), IRREDUCIBLE, f) == complement(di, f)
+        yield None, len(J ^ di) % 2 == 1 and len(J ^ delta(J, REDUCIBLE, f)) % 2 == 0
         cur = J
         for _ in range(f):
             cur = delta(cur, IRREDUCIBLE, f)
-        if cur != complement(J, f):
-            fail += 1
+        yield None, cur == complement(J, f)
+
+
+def _selftest_combinatorics(params):
     return _item(
-        {"subsets": 2 ** f},
+        {"subsets": 2 ** params.f},
         {},
         "subset shift maps",
-        [_tally_check("shift identities", fail)],
+        [_tally("shift identities", _shift_identities(params.f))],
     )
 
 
@@ -692,24 +684,18 @@ def _selftest_ps(params):
     module = PSModule(chi, params)
     mults = sorted(h_component_characters(module).values())
     ok_mult = mults == [1] * (params.q - 3) + [2, 2]
-    comps = h_components(module)
-    eigen_fail = 0
+    comps = list(h_components(module).items())[:6]
     s0p = s_operator(0, "S_plus", params)
-    kill_fail = 0
-    for xi, vecs in list(comps.items())[:6]:
-        for vec in vecs:
-            if not eigen_check(module, vec, xi):
-                eigen_fail += 1
-        if len(vecs) == 1 and ps_act(module, s0p, vecs[0]) != {}:
-            kill_fail += 1
+    eigen = ((None, eigen_check(module, vec, xi)) for xi, vecs in comps for vec in vecs)
+    kills = ((None, ps_act(module, s0p, vecs[0]) == {}) for _, vecs in comps if len(vecs) == 1)
     return _item(
         {"module": [chi.m1, chi.m2]},
         {"dimension": params.q + 1},
         "torus eigenvectors of the induced lattice",
         [
             _check("multiplicity profile", True, ok_mult),
-            _tally_check("eigen checks", eigen_fail),
-            _tally_check("augmented operator kills simple components", kill_fail),
+            _tally("eigen checks", eigen),
+            _tally("augmented operator kills simple components", kills),
         ],
     )
 
@@ -821,13 +807,6 @@ def _parse_subset(text):
     return frozenset(int(x) for x in text.split(","))
 
 
-def _parse_word(text, name):
-    word = tuple(x.strip() for x in text.split(","))
-    if any(x not in ("id", "s") for x in word):
-        raise ValueError("%s entries must be 'id' or 's'" % name)
-    return word
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="wittcycle",
@@ -915,7 +894,8 @@ def config_from_args(ns):
         start = None if ns.cycle_start in (None, "all") else _parse_subset(ns.cycle_start)
         extra = {"cycle_start": start, "mode": ns.mode}
     elif ns.command == "jh-intersect":
-        extra = {"w": _parse_word(ns.w, "--w"), "w_prime": _parse_word(ns.w_prime, "--w-prime")}
+        w, w_prime = (tuple(x.strip() for x in t.split(",")) for t in (ns.w, ns.w_prime))
+        extra = {"w": w, "w_prime": w_prime}
     elif ns.command == "selftest":
         extra = {"level": ns.level}
 

@@ -25,7 +25,6 @@ from wittcycle.padic import (
     fq_one,
     fq_pow,
     valuation_and_unit,
-    witt_mul,
     witt_reduce,
 )
 from wittcycle.principal_series import (
@@ -33,6 +32,7 @@ from wittcycle.principal_series import (
     exchange_constant,
     phi_vector,
     ps_act,
+    scale_vector,
 )
 from wittcycle.weights import (
     IRREDUCIBLE,
@@ -162,15 +162,6 @@ class StepConstant:
     degenerate: bool
 
 
-def _scaled(vec, w, params):
-    out = {}
-    for lbl, c in vec.items():
-        s = witt_mul(c, w, params)
-        if any(s):
-            out[lbl] = s
-    return out
-
-
 def degenerate_step_check(chi, i_psi, c, params):
     """Mod-p surrogate for the exchange identity at a degenerate step.
 
@@ -187,7 +178,7 @@ def degenerate_step_check(chi, i_psi, c, params):
     c1 = witt_reduce(c, params)
     if chi.m2 % 2:
         c1 = tuple((-a) % params.p for a in c1)
-    want = _scaled(s0phi, c1, work)
+    want = scale_vector(s0phi, c1, work)
     if u != want:
         raise ArithmeticError("degenerate-step surrogate identity failed mod p")
 
@@ -247,11 +238,14 @@ def ctilde_closed(cycle):
 
 @dataclass(frozen=True)
 class ConstantReport:
+    """steps holds the per-step constants of the stepwise route (None if closed)."""
+
     cycle: object
     g_stepwise: tuple
     g_closed: tuple
     pieces: dict
     valuation_ledger: tuple
+    steps: tuple = None
 
 
 def _fq_sign(s, params):
@@ -307,11 +301,6 @@ def breuil_constant(cycle, rho, mode, params, cache=None):
         raise ArithmeticError("epsilon sign is not +-1")
     epsilon_sign = 1 if epsilon == 1 else -1
 
-    ledger = [
-        ("beta_valuation", k * D // 2 if mode == "closed" else None),
-        ("up_p_power", -(k * D) // 2),
-    ]
-
     pieces = {
         "ctilde_product_lead": fq_from_int(ct_closed, params),
         "beta_valuation": v_formula,
@@ -322,7 +311,7 @@ def breuil_constant(cycle, rho, mode, params, cache=None):
     }
 
     if mode == "closed":
-        ledger[0] = ("beta_valuation", v_formula)
+        ledger = [("beta_valuation", v_formula), ("up_p_power", -(k * D) // 2)]
         for t in range(k):
             ledger.append(("step_%d_valuation" % t, f - D))
             ledger.append(("step_%d_saturation" % t, -(f - D)))
@@ -380,7 +369,7 @@ def breuil_constant(cycle, rho, mode, params, cache=None):
         ]
         raise ArithmeticError("\n".join(lines))
 
-    return ConstantReport(cycle, g_stepwise, g_closed, pieces, tuple(ledger))
+    return ConstantReport(cycle, g_stepwise, g_closed, pieces, tuple(ledger), tuple(per_step))
 
 
 def theorem_form(report, rho, params):

@@ -35,12 +35,10 @@ from wittcycle import _tables
 from wittcycle.jacobi import _digits, factorial_mod_p
 from wittcycle.padic import (
     PRECISION_INF,
-    PrecisionError,
+    escalate,
     fq_neg,
-    raise_precision,
     valuation_and_unit,
     witt_add,
-    witt_is_zero,
     witt_mul,
     witt_scale,
     witt_sub,
@@ -329,13 +327,9 @@ def contract_splus(indices, params, max_escalations=6):
     """
     indices = tuple(int(i) for i in indices)
     check_contract_pre(indices, params)
-    work = params
-    for _ in range(max_escalations):
-        res = _contract_once(indices, work)
-        if res is not None:
-            return res
-        work = raise_precision(work)
-    raise PrecisionError("contraction valuations unresolved after escalation")
+    return escalate(
+        lambda work: _contract_once(indices, work), params, max_escalations, "contraction valuations"
+    )
 
 
 def _contract_once(indices, params):

@@ -15,7 +15,7 @@ checked against each other in the tests.
 from dataclasses import dataclass
 
 from wittcycle import _tables
-from wittcycle.padic import witt_one, witt_add, witt_zero
+from wittcycle.padic import witt_one, witt_add
 
 
 def _digits(n, p, f):
@@ -97,23 +97,19 @@ def stickelberger_data(a, b, params):
     u = total // (p - 1)
     num = 1
     for j in range(f):
-        num = (num * _factorial_mod(ad[j], p) * _factorial_mod(bd[j], p)) % p
+        num = (num * factorial_mod_p(ad[j], p) * factorial_mod_p(bd[j], p)) % p
     den = 1
     for j in range(f):
-        den = (den * _factorial_mod(sd[j], p)) % p
+        den = (den * factorial_mod_p(sd[j], p)) % p
     unit = (num * pow(den, p - 2, p)) % p
     if (f - 1 + u) % 2:
         unit = (-unit) % p
     return StickelbergerData(a, b, ad, bd, sd, wrapped, u, unit)
 
 
-def _factorial_mod(n, p):
+def factorial_mod_p(n, p):
+    """n! mod p for digit-sized n; used by the leading-term formulas."""
     out = 1
     for k in range(2, n + 1):
         out = (out * k) % p
     return out
-
-
-def factorial_mod_p(n, p):
-    """n! mod p for digit-sized n; used by the leading-term formulas."""
-    return _factorial_mod(n, p)

@@ -185,12 +185,24 @@ def raise_precision(params, extra=None):
     return params.with_precision(params.N + extra)
 
 
+def escalate(attempt, params, max_escalations, what):
+    """The first result of attempt(work) that is not None, work rising in N.
+
+    attempt is tried at params, then at each raise_precision of the last
+    context, max_escalations times in all; after that the escalation gives
+    up with PrecisionError naming what was unresolved.
+    """
+    work = params
+    for _ in range(max_escalations):
+        res = attempt(work)
+        if res is not None:
+            return res
+        work = raise_precision(work)
+    raise PrecisionError("%s unresolved after escalation" % what)
+
+
 # ---------------------------------------------------------------------------
 # F_q
-
-def fq_zero(params):
-    return (0,) * params.f
-
 
 def fq_one(params):
     return (1,) + (0,) * (params.f - 1)
@@ -203,11 +215,6 @@ def fq_from_int(n, params):
 def fq_add(a, b, params):
     p = params.p
     return tuple((x + y) % p for x, y in zip(a, b))
-
-
-def fq_sub(a, b, params):
-    p = params.p
-    return tuple((x - y) % p for x, y in zip(a, b))
 
 
 def fq_neg(a, params):
@@ -266,14 +273,6 @@ def _fq_elements_key(p, f, modulus):
 def fq_elements(params):
     """All q elements; index of an element equals sum(c_i p^i)."""
     return _fq_elements_key(params.p, params.f, params.modulus)
-
-
-def fq_code(a, params):
-    p = params.p
-    n = 0
-    for i in reversed(range(params.f)):
-        n = n * p + a[i]
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +342,6 @@ def witt_pow(x, e, params):
     return result
 
 
-def witt_is_zero(x):
-    return not any(x)
-
-
 def witt_reduce(x, params):
     """Reduction W(F_q)/p^N -> F_q."""
     p = params.p
@@ -381,7 +376,7 @@ def valuation_and_unit(x, params):
     is finite.  If x is 0 at precision N the true valuation is out of reach:
     returns (PRECISION_INF, None).
     """
-    if witt_is_zero(x):
+    if not any(x):
         return PRECISION_INF, None
     p = params.p
     v = params.N

@@ -18,10 +18,10 @@ from wittcycle import _tables
 from wittcycle.group_algebra import gl2_inv, s_operator
 from wittcycle.padic import (
     PRECISION_INF,
-    PrecisionError,
-    raise_precision,
+    escalate,
     valuation_and_unit,
     witt_add,
+    witt_divide_exact,
     witt_inv,
     witt_mul,
     witt_one,
@@ -183,6 +183,16 @@ def h_components(module):
     return out
 
 
+def scale_vector(vec, w, params):
+    """The vector times the scalar w, zero coordinates dropped."""
+    out = {}
+    for lbl, c in vec.items():
+        s = witt_mul(c, w, params)
+        if any(s):
+            out[lbl] = s
+    return out
+
+
 def eigen_check(module, vec, xi):
     """Whether vec is an H-eigenvector with character xi, by acting with
     the two one-parameter torus generators."""
@@ -191,14 +201,7 @@ def eigen_check(module, vec, xi):
     teich = _tables.teich_by_code(params)
     g = T.generator
     for h, expo in [((g, 0, 0, 1), xi.m1), ((1, 0, 0, g), xi.m2)]:
-        got = ps_act(module, h, vec)
-        scal = teich[T.pow_code(g, expo)]
-        want = {}
-        for lbl, c in vec.items():
-            w = witt_mul(c, scal, params)
-            if any(w):
-                want[lbl] = w
-        if got != want:
+        if ps_act(module, h, vec) != scale_vector(vec, teich[T.pow_code(g, expo)], params):
             return False
     return True
 
@@ -225,14 +228,11 @@ def exchange_constant(psi_s, i_psi, params, max_escalations=6):
             "target character has multiplicity %d in the induced module" % mult
         )
     i_plus = q - 1 - i_psi
-    work = params
-    for _ in range(max_escalations):
-        res = _exchange_once(psi_s, i_psi, i_plus, work)
-        if res is not None:
-            c, used = res
-            return c, i_plus, used
-        work = raise_precision(work)
-    raise PrecisionError("exchange constant unresolved after escalation")
+    c, used = escalate(
+        lambda work: _exchange_once(psi_s, i_psi, i_plus, work), params, max_escalations,
+        "exchange constant",
+    )
+    return c, i_plus, used
 
 
 def _exchange_once(psi_s, i_psi, i_plus, params):
@@ -270,8 +270,6 @@ def _exchange_once(psi_s, i_psi, i_plus, params):
     if best == 0:
         c = witt_mul(up, witt_inv(wp, params), params)
     else:
-        from wittcycle.padic import witt_divide_exact
-
         c, params = witt_divide_exact(up, wp, params)
     v, _ = valuation_and_unit(c, params)
     if v is PRECISION_INF:

@@ -12,8 +12,8 @@ Subsets are frozensets of residues mod f.  A formal weight is a tuple of
 
 from dataclasses import dataclass
 
-from wittcycle.padic import Params, fq_from_int
-from wittcycle.principal_series import HChar, exponent_shift, make_char
+from wittcycle.padic import fq_from_int
+from wittcycle.principal_series import exponent_shift, make_char
 
 REDUCIBLE = "reducible-split"
 IRREDUCIBLE = "irreducible"

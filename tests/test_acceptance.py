@@ -18,6 +18,7 @@ from contextlib import contextmanager
 import pytest
 
 from wittcycle._tables import tables_for
+from wittcycle.cli import _random_admissible
 from wittcycle.constants import (
     breuil_constant,
     ctilde_closed,
@@ -46,6 +47,7 @@ from wittcycle.padic import (
     fq_neg,
     fq_one,
     valuation_and_unit,
+    witt_from_int,
     witt_mul,
     witt_neg,
 )
@@ -59,6 +61,7 @@ from wittcycle.principal_series import (
     make_char,
     phi_vector,
     ps_act,
+    scale_vector,
 )
 from wittcycle.weights import (
     IRREDUCIBLE,
@@ -94,10 +97,6 @@ def criterion(num, name, budget):
             "criterion %02d %s: %s (%.1fs, budget %ds)" % (num, name, status, dt, budget)
         )
     assert dt < budget, "criterion %02d exceeded its %ds budget" % (num, budget)
-
-
-def _wint(n, params):
-    return (n % params.pN,) + (0,) * (params.f - 1)
 
 
 def _r_for(p, f):
@@ -145,11 +144,12 @@ def test_criterion_02_complementary_pairs():
             assert params.N >= 3
             q = params.q
             for a in range(1, q - 1):
-                want = _wint(1 if (a + 1) % 2 == 0 else -1, params)
+                want = witt_from_int(1 if (a + 1) % 2 == 0 else -1, params)
                 assert jacobi_sum(a, q - 1 - a, "standard", params) == want, a
 
 
 def _relation_holds(i, j, variant, params):
+    # the ga_multiply oracle route; selftest checks the same relation through u_convolve
     q = params.q
     lhs = ga_multiply(
         s_operator(i, variant, params), s_operator(j, "S_plus", params), params
@@ -169,7 +169,7 @@ def _relation_holds(i, j, variant, params):
         tail = (
             identity_elem(params)
             if variant == "S_plus"
-            else {GL2_W: _wint(1, params)}
+            else {GL2_W: witt_from_int(1, params)}
         )
         rhs = ga_add(ga_scale(sign0, s0, params), ga_scale(signq, tail, params), params)
     return lhs == rhs
@@ -201,21 +201,6 @@ def _contract_identities(indices, params):
     assert res.lead_beta == fq_from_int(contraction_lead(indices, params), res.params)
 
 
-def _random_admissible(rng, k, params):
-    q = params.q
-    while True:
-        head = tuple(rng.randrange(1, q - 1) for _ in range(k - 1))
-        last = (-sum(head)) % (q - 1)
-        if not 0 < last < q - 1:
-            continue
-        indices = head + (last,)
-        try:
-            check_contract_pre(indices, params)
-        except ValueError:
-            continue
-        return indices
-
-
 def test_criterion_04_contraction():
     with criterion(4, "operator contraction", 180):
         p71 = Params.make(7, 1)
@@ -236,15 +221,6 @@ def test_criterion_04_contraction():
         for n in range(100):
             k = 2 + n % 3
             _contract_identities(_random_admissible(rng, k, p72), p72)
-
-
-def _scaled(vec, w, params):
-    out = {}
-    for lbl, c in vec.items():
-        s = witt_mul(c, w, params)
-        if any(s):
-            out[lbl] = s
-    return out
 
 
 def _composition_identity(params, charlist, npairs, rng):
@@ -276,7 +252,7 @@ def _composition_identity(params, charlist, npairs, rng):
                 if eta_exp % 2:
                     jac = witt_neg(jac, params)
                 red = (i - j - rprime) % (q - 1)
-                rhs = _scaled(
+                rhs = scale_vector(
                     ps_act(module, s_operator(red, "S", params), v), jac, params
                 )
                 assert lhs == rhs, (params.p, params.f, (m1, m2), i, j)

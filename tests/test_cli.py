@@ -118,6 +118,33 @@ def test_inadmissible_type_exit_2(capsys):
     assert code == 2
 
 
+def test_unknown_type_letter_exit_2(capsys):
+    code = main(
+        [
+            "jh-intersect", "--p", "7", "--f", "2", "--kind", "irr",
+            "--r", "2", "--alpha", "1", "--w", "x,s", "--w-prime", "s,s",
+        ]
+    )
+    assert code == 2
+    assert "'id' or 's'" in capsys.readouterr().err
+
+
+def test_contract_escalates_from_N_1(capsys):
+    code, rep = _json_report(
+        capsys, ["contract", "--p", "7", "--f", "2", "--indices", "5,43", "--N", "1", "--json"]
+    )
+    assert code == 0
+    assert rep["items"][0]["outputs"]["N_used"] > 1
+
+
+def test_constant_escalates_from_N_1(capsys):
+    code, rep = _json_report(
+        capsys, ["constant", "--p", "7", "--f", "1", "--kind", "irr", "--r", "2", "--N", "1", "--json"]
+    )
+    assert code == 0
+    assert rep["summary"]["fail"] == 0
+
+
 def test_invariant_failure_exit_1(capsys):
     # at N = 1 a valuation-one Jacobi sum reduces to zero, so the digit
     # check honestly fails instead of being silently skipped

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from wittcycle.padic import (
     PRECISION_INF,
     Params,
+    PrecisionError,
+    escalate,
     fq_add,
     fq_elements,
     fq_inv,
@@ -128,6 +130,33 @@ def test_precision_escalation_helper():
     P2 = raise_precision(P)
     assert P2.N > P.N and P2.modulus == P.modulus
     assert P2.q == P.q
+
+
+def test_escalate_returns_first_resolved_attempt():
+    P = Params.make(7, 2, N=1)
+    seen = []
+
+    def attempt(work):
+        seen.append(work)
+        return (work.N, "done") if len(seen) == 3 else None
+
+    assert escalate(attempt, P, 6, "test value") == (seen[-1].N, "done")
+    assert len(seen) == 3 and seen[0] == P
+    assert all(a.N < b.N and a.modulus == b.modulus for a, b in zip(seen, seen[1:]))
+
+
+@pytest.mark.parametrize("budget", [1, 4, 6])
+def test_escalate_gives_up_after_its_budget(budget):
+    seen = []
+
+    def attempt(work):
+        seen.append(work.N)
+        return None
+
+    with pytest.raises(PrecisionError, match="test value unresolved after escalation"):
+        escalate(attempt, Params.make(7, 1, N=1), budget, "test value")
+    assert len(seen) == budget
+    assert seen == sorted(set(seen))
 
 
 # f = 1 reference: W(F_p)/p^N is literally Z/p^N, so plain integers are an

@@ -8,7 +8,6 @@ from wittcycle.jacobi import jacobi_sum
 from wittcycle.padic import (
     Params,
     valuation_and_unit,
-    witt_mul,
     witt_neg,
     witt_one,
 )
@@ -23,19 +22,11 @@ from wittcycle.principal_series import (
     make_char,
     phi_vector,
     ps_act,
+    scale_vector,
 )
 
 P7 = Params.make(7, 1)
 P7F2 = Params.make(7, 2)
-
-
-def scaled(vec, w, params):
-    out = {}
-    for lbl, c in vec.items():
-        s = witt_mul(c, w, params)
-        if any(s):
-            out[lbl] = s
-    return out
 
 
 def test_dimension_and_multiplicities():
@@ -153,7 +144,7 @@ def test_composition_identity_on_eigenvectors():
                     jac = jacobi_sum(i, (-j - rprime) % (q - 1), "J0", params)
                     if eta_exp % 2:
                         jac = witt_neg(jac, params)
-                    rhs = scaled(
+                    rhs = scale_vector(
                         ps_act(module, s_operator(red, "S", params), v), jac, params
                     )
                     assert lhs == rhs, (params.p, params.f, (m1, m2), i, j)
