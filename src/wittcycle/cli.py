@@ -23,16 +23,13 @@ from dataclasses import dataclass, field
 from wittcycle._tables import tables_for
 from wittcycle.constants import breuil_constant, theorem_form
 from wittcycle.group_algebra import (
-    GL2_W,
     check_contract_pre,
     contract_splus,
     contraction_lead,
     contraction_valuation,
-    ga_add,
     ga_multiply,
-    ga_scale,
-    identity_elem,
     s_operator,
+    s_product_closed,
     u_convolve,
 )
 from wittcycle.jacobi import jacobi_sum, stickelberger_data
@@ -46,7 +43,6 @@ from wittcycle.padic import (
     teichmuller,
     valuation_and_unit,
     witt_from_int,
-    witt_mul,
     witt_one,
     witt_pow,
     witt_reduce,
@@ -125,6 +121,8 @@ def canonical_json(obj):
 
 
 def _ser(x):
+    if x is PRECISION_INF:
+        return None  # a valuation unresolved at the working precision
     if isinstance(x, (frozenset, set)):
         return sorted(x)
     if isinstance(x, (tuple, list)):
@@ -189,9 +187,9 @@ def _cmd_field_info(cfg, params):
         {
             "q": params.q,
             "N": params.N,
-            "modulus": list(params.modulus),
-            "generator": list(gen),
-            "teichmuller_generator": list(lift),
+            "modulus": params.modulus,
+            "generator": gen,
+            "teichmuller_generator": lift,
         },
         "multiplicative lift of a field generator",
         [
@@ -240,11 +238,7 @@ def _cmd_jacobi(cfg, params):
     v, lead = valuation_and_unit(value, params)
     item = _item(
         {"a": a, "b": b, "convention": convention},
-        {
-            "value": list(value),
-            "valuation": v if v != PRECISION_INF else None,
-            "lead": list(lead) if lead is not None else None,
-        },
+        {"value": value, "valuation": v, "lead": lead},
         "teichmuller character sum",
         _jacobi_checks(a, b, convention, value, params),
     )
@@ -292,7 +286,7 @@ def _scan_chunk(args):
         items.append(
             _item(
                 {"a": a, "b": b},
-                {"valuation": v, "lead": list(lead)},
+                {"valuation": v, "lead": lead},
                 "digit-carry count and factorial unit",
                 [
                     _check("valuation", data.u, v),
@@ -350,12 +344,12 @@ def _cmd_contract(cfg, params):
     indices = cfg.extra["indices"]
     res = contract_splus(indices, params)
     item = _item(
-        {"indices": list(indices)},
+        {"indices": indices},
         {
             "v_alpha": res.v_alpha,
             "v_beta": res.v_beta,
-            "lead_alpha": list(res.lead_alpha),
-            "lead_beta": list(res.lead_beta),
+            "lead_alpha": res.lead_alpha,
+            "lead_beta": res.lead_beta,
             "N_used": res.params.N,
         },
         "operator product decomposed against the augmented operator",
@@ -388,8 +382,8 @@ def _cmd_weights(cfg, params):
             _item(
                 {"J": J},
                 {
-                    "formal": [list(t) for t in fw],
-                    "s": list(sw.s),
+                    "formal": fw,
+                    "s": sw.s,
                     "e": sw.e,
                     "char": [chi.m1, chi.m2],
                 },
@@ -414,10 +408,10 @@ def _cmd_weights(cfg, params):
 def _cycle_outputs(cyc):
     return {
         "k": cyc.k,
-        "subsets": [sorted(J) for J in cyc.subsets],
+        "subsets": cyc.subsets,
         "chars": [[x.m1, x.m2] for x in cyc.chars],
-        "iplus": list(cyc.iplus),
-        "degenerate": list(cyc.degenerate),
+        "iplus": cyc.iplus,
+        "degenerate": cyc.degenerate,
         "sym_diff_size": cyc.sym_diff_size,
     }
 
@@ -445,8 +439,8 @@ def _cmd_cycles(cfg, params):
     for exc in excluded:
         items.append(
             _item(
-                {"start": sorted(exc["orbit"][0])},
-                {"orbit": [sorted(J) for J in exc["orbit"]], "excluded": exc["reason"]},
+                {"start": exc["orbit"][0]},
+                {"orbit": exc["orbit"], "excluded": exc["reason"]},
                 "delta orbit walk",
                 [],
             )
@@ -474,13 +468,11 @@ def _constant_item(cyc, rho, mode, params):
             "two-route assembly",
             [_check("routes agree", "agreement", str(e))],
         )
-    outputs = dict(_cycle_outputs(cyc))
-    outputs["g_closed"] = list(rep.g_closed)
-    outputs["g_stepwise"] = list(rep.g_stepwise) if rep.g_stepwise else None
-    outputs["ledger"] = [[name, v] for name, v in rep.valuation_ledger]
-    outputs["pieces"] = {
-        k: (list(v) if isinstance(v, tuple) else v) for k, v in rep.pieces.items()
-    }
+    outputs = _cycle_outputs(cyc)
+    outputs["g_closed"] = rep.g_closed
+    outputs["g_stepwise"] = rep.g_stepwise
+    outputs["ledger"] = rep.valuation_ledger
+    outputs["pieces"] = rep.pieces
     if rep.steps is not None:
         outputs["steps"] = [
             {
@@ -488,7 +480,7 @@ def _constant_item(cyc, rho, mode, params):
                 "i_psi": st.i_psi,
                 "jacobi_b": st.jacobi_b,
                 "valuation": st.valuation,
-                "lead": list(st.lead),
+                "lead": st.lead,
                 "degenerate": st.degenerate,
             }
             for st in rep.steps
@@ -528,10 +520,10 @@ def _cmd_jh_intersect(cfg, params):
     constituents = []
     for J in subsets:
         sw = serre_weight_of(formal_weight_of(J, rho), rho)
-        constituents.append({"J": sorted(J), "s": list(sw.s), "e": sw.e})
+        constituents.append({"J": J, "s": sw.s, "e": sw.e})
     n = len(subsets)
     item = _item(
-        {"w": list(V.w), "w_prime": list(V.w_prime)},
+        {"w": V.w, "w_prime": V.w_prime},
         {"count": n, "constituents": constituents},
         "interval in the subset lattice",
         [_check("interval size is 0 or a power of two", True, n == 0 or (n & (n - 1)) == 0)],
@@ -543,25 +535,9 @@ def _cmd_jh_intersect(cfg, params):
 
 
 def _relation_holds(i, j, variant, params):
-    q = params.q
-    lhs = u_convolve(
-        s_operator(i, variant, params), s_operator(j, "S_plus", params), params
-    )
-    m = (i + j) % (q - 1)
-    if m:
-        J = jacobi_sum(i, j, "standard", params)
-        rhs = {}
-        for g, c in s_operator(m, variant, params).items():
-            w = witt_mul(J, c, params)
-            if any(w):
-                rhs[g] = w
-    else:
-        s0 = s_operator(0, variant, params)
-        sign0 = 1 if (i + 1) % 2 == 0 else -1
-        signq = q if i % 2 == 0 else -q
-        tail = identity_elem(params) if variant == "S_plus" else {GL2_W: witt_one(params)}
-        rhs = ga_add(ga_scale(sign0, s0, params), ga_scale(signq, tail, params), params)
-    return lhs == rhs
+    """The kernel's S_i S+_j (variant "S") or S+_i S+_j against its closed form."""
+    lhs = u_convolve(s_operator(i, variant, params), s_operator(j, "S_plus", params), params)
+    return lhs == s_product_closed(i, j, variant, params)
 
 
 def _random_admissible(rng, k, params):
@@ -644,7 +620,7 @@ def _selftest_contraction(cfg, params, full):
     tuples = [_random_admissible(rng, k, params) for k in (2, 3) for _ in range(n)]
     cases = (
         (
-            {"indices": list(t)},
+            {"indices": t},
             all(c["pass"] for c in _contract_checks(t, contract_splus(t, params), params)),
         )
         for t in tuples
@@ -658,14 +634,17 @@ def _selftest_contraction(cfg, params, full):
 
 
 def _shift_identities(f):
+    def f_fold(J, kind):
+        for _ in range(f):
+            J = delta(J, kind, f)
+        return J
+
     for J in subsets_of(f):
         di = delta(J, IRREDUCIBLE, f)
         yield None, delta(complement(J, f), IRREDUCIBLE, f) == complement(di, f)
         yield None, len(J ^ di) % 2 == 1 and len(J ^ delta(J, REDUCIBLE, f)) % 2 == 0
-        cur = J
-        for _ in range(f):
-            cur = delta(cur, IRREDUCIBLE, f)
-        yield None, cur == complement(J, f)
+        yield None, f_fold(J, IRREDUCIBLE) == complement(J, f)
+        yield None, f_fold(J, REDUCIBLE) == J
 
 
 def _selftest_combinatorics(params):

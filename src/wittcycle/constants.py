@@ -16,6 +16,7 @@ from wittcycle.group_algebra import (
     contraction_lead,
     contraction_valuation,
     s_operator,
+    scale_vector,
 )
 from wittcycle.jacobi import jacobi_sum
 from wittcycle.padic import (
@@ -32,7 +33,6 @@ from wittcycle.principal_series import (
     exchange_constant,
     phi_vector,
     ps_act,
-    scale_vector,
 )
 from wittcycle.weights import (
     IRREDUCIBLE,

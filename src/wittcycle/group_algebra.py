@@ -32,14 +32,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from wittcycle import _tables
-from wittcycle.jacobi import _digits, factorial_mod_p
+from wittcycle.jacobi import _digits, factorial_mod_p, jacobi_sum
 from wittcycle.padic import (
+    MAX_ESCALATIONS,
     PRECISION_INF,
     escalate,
     fq_neg,
     valuation_and_unit,
     witt_add,
     witt_mul,
+    witt_one,
     witt_scale,
     witt_sub,
     witt_zero,
@@ -100,6 +102,16 @@ def ga_scale(n, x, params):
         s = witt_scale(n, c, params)
         if any(s):
             out[g] = s
+    return out
+
+
+def scale_vector(vec, w, params):
+    """The vector times the scalar w, zero coordinates dropped."""
+    out = {}
+    for key, c in vec.items():
+        s = witt_mul(c, w, params)
+        if any(s):
+            out[key] = s
     return out
 
 
@@ -276,6 +288,24 @@ class ContractionResult:
     params: object
 
 
+def s_product_closed(i, j, variant, params):
+    """The closed form of S_i S+_j (variant "S") or S+_i S+_j ("S_plus"), 0 < i, j < q-1.
+
+    J(i, j) times the operator of index i+j when i+j is nonzero mod q-1;
+    otherwise (-1)^(i+1) S_0 + (-1)^i q c, with c = w resp. the identity.
+    """
+    q = params.q
+    m = (i + j) % (q - 1)
+    if m:
+        J = jacobi_sum(i, j, "standard", params)
+        return scale_vector(s_operator(m, variant, params), J, params)
+    s0 = s_operator(0, variant, params)
+    sign0 = 1 if (i + 1) % 2 == 0 else -1
+    signq = q if i % 2 == 0 else -q
+    tail = identity_elem(params) if variant == "S_plus" else {GL2_W: witt_one(params)}
+    return ga_add(ga_scale(sign0, s0, params), ga_scale(signq, tail, params), params)
+
+
 def contraction_valuation(indices, params):
     """Digit-counting prediction for v(beta): sum of (p-1-digit) over p-1."""
     p, f = params.p, params.f
@@ -317,7 +347,7 @@ def check_contract_pre(indices, params):
         raise ValueError("the full sum must be divisible by q-1")
 
 
-def contract_splus(indices, params, max_escalations=6):
+def contract_splus(indices, params):
     """Multiply out a chain of S+ operators and split off alpha and beta.
 
     The chain must have every proper partial index sum nonzero mod q-1 and
@@ -328,7 +358,7 @@ def contract_splus(indices, params, max_escalations=6):
     indices = tuple(int(i) for i in indices)
     check_contract_pre(indices, params)
     return escalate(
-        lambda work: _contract_once(indices, work), params, max_escalations, "contraction valuations"
+        lambda work: _contract_once(indices, work), params, MAX_ESCALATIONS, "contraction valuations"
     )
 
 

@@ -178,11 +178,13 @@ class Params:
         return Params(self.p, self.f, N, self.modulus)
 
 
-def raise_precision(params, extra=None):
+def raise_precision(params):
     """A fresh Params at strictly higher N, same field."""
-    if extra is None:
-        extra = max(params.f * params.f, 4)
-    return params.with_precision(params.N + extra)
+    return params.with_precision(params.N + max(params.f * params.f, 4))
+
+
+# attempts the contraction and the exchange constant make before giving up
+MAX_ESCALATIONS = 6
 
 
 def escalate(attempt, params, max_escalations, what):

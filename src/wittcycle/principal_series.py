@@ -15,14 +15,14 @@ diag(a, d) acts on the phi line by [a]^m1 [d]^m2.
 from dataclasses import dataclass
 
 from wittcycle import _tables
-from wittcycle.group_algebra import gl2_inv, s_operator
+from wittcycle.group_algebra import gl2_inv, s_operator, scale_vector
 from wittcycle.padic import (
+    MAX_ESCALATIONS,
     PRECISION_INF,
     escalate,
     valuation_and_unit,
     witt_add,
     witt_divide_exact,
-    witt_inv,
     witt_mul,
     witt_one,
 )
@@ -46,15 +46,6 @@ class HChar:
     def times_alpha(self, n):
         m = self.qm1
         return HChar((self.m1 + n) % m, (self.m2 - n) % m, self.qm1)
-
-    def times(self, other):
-        m = self.qm1
-        return HChar((self.m1 + other.m1) % m, (self.m2 + other.m2) % m, m)
-
-    def twist_det(self, c):
-        """Multiply by det^c; central twists move both exponents together."""
-        m = self.qm1
-        return HChar((self.m1 + c) % m, (self.m2 + c) % m, m)
 
     def a_exponent(self):
         """The r with self = (self swapped) times alpha^r."""
@@ -183,16 +174,6 @@ def h_components(module):
     return out
 
 
-def scale_vector(vec, w, params):
-    """The vector times the scalar w, zero coordinates dropped."""
-    out = {}
-    for lbl, c in vec.items():
-        s = witt_mul(c, w, params)
-        if any(s):
-            out[lbl] = s
-    return out
-
-
 def eigen_check(module, vec, xi):
     """Whether vec is an H-eigenvector with character xi, by acting with
     the two one-parameter torus generators."""
@@ -206,7 +187,7 @@ def eigen_check(module, vec, xi):
     return True
 
 
-def exchange_constant(psi_s, i_psi, params, max_escalations=6):
+def exchange_constant(psi_s, i_psi, params):
     """The scalar c with S_{i_psi} S_0 phi = c S+_{q-1-i_psi} phi.
 
     Works in the module induced from psi_s.  The target character
@@ -229,7 +210,7 @@ def exchange_constant(psi_s, i_psi, params, max_escalations=6):
         )
     i_plus = q - 1 - i_psi
     c, used = escalate(
-        lambda work: _exchange_once(psi_s, i_psi, i_plus, work), params, max_escalations,
+        lambda work: _exchange_once(psi_s, i_psi, i_plus, work), params, MAX_ESCALATIONS,
         "exchange constant",
     )
     return c, i_plus, used
@@ -267,10 +248,7 @@ def _exchange_once(psi_s, i_psi, i_plus, params):
         rhs = witt_mul(up, w.get(lbl, (0,) * params.f), params)
         if lhs != rhs:
             raise ExchangeError("vectors are not proportional")
-    if best == 0:
-        c = witt_mul(up, witt_inv(wp, params), params)
-    else:
-        c, params = witt_divide_exact(up, wp, params)
+    c, params = witt_divide_exact(up, wp, params)
     v, _ = valuation_and_unit(c, params)
     if v is PRECISION_INF:
         return None

@@ -40,19 +40,17 @@ class RhoBar:
 
     alpha_prime is the second unit in the split reducible case and is
     pinned to the scalar -1 in the irreducible case.  Central twists are
-    normalized away at construction; twist is kept as a field for the
-    record and must be 0 (apply HChar.twist_det externally if needed).
+    normalized away.
     """
 
     kind: str
     r: tuple
     alpha: tuple
     alpha_prime: tuple
-    twist: int
     params: object
 
 
-def make_rho(kind, r, alpha, params, alpha_prime=None, twist=0):
+def make_rho(kind, r, alpha, params, alpha_prime=None):
     kind = normalize_kind(kind)
     p, f = params.p, params.f
     r = tuple(int(x) for x in r)
@@ -79,9 +77,7 @@ def make_rho(kind, r, alpha, params, alpha_prime=None, twist=0):
         alpha_prime = tuple(alpha_prime)
         if not any(alpha_prime):
             raise ValueError("alpha_prime must be a unit")
-    if twist != 0:
-        raise ValueError("central twists are normalized away; use twist_det")
-    return RhoBar(kind, r, alpha, alpha_prime, 0, params)
+    return RhoBar(kind, r, alpha, alpha_prime, params)
 
 
 def subsets_of(f):

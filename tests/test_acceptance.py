@@ -18,7 +18,15 @@ from contextlib import contextmanager
 import pytest
 
 from wittcycle._tables import tables_for
-from wittcycle.cli import _random_admissible
+from wittcycle.cli import (
+    _contract_checks,
+    _random_admissible,
+    _scan,
+    _scan_pairs,
+    _selftest_jacobi,
+    _shift_identities,
+    _theorem_applicable,
+)
 from wittcycle.constants import (
     breuil_constant,
     ctilde_closed,
@@ -29,26 +37,18 @@ from wittcycle.constants import (
 from wittcycle.group_algebra import (
     check_contract_pre,
     contract_splus,
-    contraction_lead,
-    contraction_valuation,
-    ga_add,
     ga_multiply,
-    ga_scale,
-    identity_elem,
-    GL2_W,
     s_operator,
+    s_product_closed,
+    scale_vector,
 )
-from wittcycle.jacobi import jacobi_sum, stickelberger_data
+from wittcycle.jacobi import jacobi_sum
 from wittcycle.padic import (
     Params,
     fq_from_int,
     fq_inv,
     fq_mul,
     fq_neg,
-    fq_one,
-    valuation_and_unit,
-    witt_from_int,
-    witt_mul,
     witt_neg,
 )
 from wittcycle.principal_series import (
@@ -61,13 +61,11 @@ from wittcycle.principal_series import (
     make_char,
     phi_vector,
     ps_act,
-    scale_vector,
 )
 from wittcycle.weights import (
     IRREDUCIBLE,
     REDUCIBLE,
     char_of_subset,
-    complement,
     cycles_of,
     delta,
     digits_value,
@@ -120,21 +118,16 @@ def _stepwise(cycle, rho, params):
     return breuil_constant(cycle, rho, "stepwise", params, cache=_CACHE)
 
 
+def _passes(checks):
+    return all(c["pass"] for c in checks)
+
+
 def test_criterion_01_stickelberger_digit_data():
     with criterion(1, "stickelberger digit data", 60):
         for f in (1, 2):
             params = Params.make(7, f)
-            q = params.q
-            for a in range(1, q - 1):
-                for b in range(1, q - 1):
-                    if a + b == q - 1 or (a + b) % (q - 1) == 0:
-                        continue
-                    data = stickelberger_data(a, b, params)
-                    v, lead = valuation_and_unit(
-                        jacobi_sum(a, b, "J0", params), params
-                    )
-                    assert v == data.u, (a, b)
-                    assert lead == fq_from_int(data.unit, params), (a, b)
+            for item in _scan(params, _scan_pairs(params, None, None), 1):
+                assert _passes(item["checks"]), item
 
 
 def test_criterion_02_complementary_pairs():
@@ -142,37 +135,13 @@ def test_criterion_02_complementary_pairs():
         for f in (1, 2):
             params = Params.make(7, f)
             assert params.N >= 3
-            q = params.q
-            for a in range(1, q - 1):
-                want = witt_from_int(1 if (a + 1) % 2 == 0 else -1, params)
-                assert jacobi_sum(a, q - 1 - a, "standard", params) == want, a
+            item = _selftest_jacobi(params)
+            assert _passes(item["checks"]), item
 
 
-def _relation_holds(i, j, variant, params):
-    # the ga_multiply oracle route; selftest checks the same relation through u_convolve
-    q = params.q
-    lhs = ga_multiply(
-        s_operator(i, variant, params), s_operator(j, "S_plus", params), params
-    )
-    m = (i + j) % (q - 1)
-    if m:
-        J = jacobi_sum(i, j, "standard", params)
-        rhs = {}
-        for g, c in s_operator(m, variant, params).items():
-            w = witt_mul(J, c, params)
-            if any(w):
-                rhs[g] = w
-    else:
-        s0 = s_operator(0, variant, params)
-        sign0 = 1 if (i + 1) % 2 == 0 else -1
-        signq = q if i % 2 == 0 else -q
-        tail = (
-            identity_elem(params)
-            if variant == "S_plus"
-            else {GL2_W: witt_from_int(1, params)}
-        )
-        rhs = ga_add(ga_scale(sign0, s0, params), ga_scale(signq, tail, params), params)
-    return lhs == rhs
+def _oracle_product(i, j, variant, params):
+    """S_i S+_j (variant "S") or S+_i S+_j by the generic GL2 product, not the kernel."""
+    return ga_multiply(s_operator(i, variant, params), s_operator(j, "S_plus", params), params)
 
 
 def test_criterion_03_operator_relations():
@@ -181,8 +150,9 @@ def test_criterion_03_operator_relations():
         ops = [s_operator(i, "S_plus", p71) for i in range(1, 6)]
         for i in range(1, 6):
             for j in range(1, 6):
-                assert _relation_holds(i, j, "S_plus", p71), (i, j)
-                assert _relation_holds(i, j, "S", p71), (i, j)
+                for variant in ("S_plus", "S"):
+                    lhs = _oracle_product(i, j, variant, p71)
+                    assert lhs == s_product_closed(i, j, variant, p71), (i, j, variant)
                 lhs = ga_multiply(ops[i - 1], ops[j - 1], p71)
                 assert lhs == ga_multiply(ops[j - 1], ops[i - 1], p71), (i, j)
         p72 = Params.make(7, 2)
@@ -190,15 +160,8 @@ def test_criterion_03_operator_relations():
         for n in range(200):
             i, j = rng.randrange(1, 48), rng.randrange(1, 48)
             variant = "S_plus" if n % 2 == 0 else "S"
-            assert _relation_holds(i, j, variant, p72), (i, j, variant)
-
-
-def _contract_identities(indices, params):
-    res = contract_splus(indices, params)
-    assert res.v_beta == contraction_valuation(indices, params), indices
-    assert res.v_alpha == res.v_beta - params.f, indices
-    assert res.lead_alpha == fq_neg(res.lead_beta, res.params), indices
-    assert res.lead_beta == fq_from_int(contraction_lead(indices, params), res.params)
+            lhs = _oracle_product(i, j, variant, p72)
+            assert lhs == s_product_closed(i, j, variant, p72), (i, j, variant)
 
 
 def test_criterion_04_contraction():
@@ -213,14 +176,17 @@ def test_criterion_04_contraction():
                     check_contract_pre(indices, p71)
                 except ValueError:
                     continue
-                _contract_identities(indices, p71)
+                res = contract_splus(indices, p71)
+                assert _passes(_contract_checks(indices, res, p71)), indices
                 count += 1
         assert count > 50
         p72 = Params.make(7, 2)
         rng = random.Random(40127)
         for n in range(100):
             k = 2 + n % 3
-            _contract_identities(_random_admissible(rng, k, p72), p72)
+            indices = _random_admissible(rng, k, p72)
+            res = contract_splus(indices, p72)
+            assert _passes(_contract_checks(indices, res, p72)), indices
 
 
 def _composition_identity(params, charlist, npairs, rng):
@@ -306,20 +272,7 @@ def test_criterion_05_principal_series_layer():
 def test_criterion_06_weight_combinatorics():
     with criterion(6, "weight combinatorics", 30):
         for f in range(1, 9):
-            for J in subsets_of(f):
-                di = delta(J, IRREDUCIBLE, f)
-                dr = delta(J, REDUCIBLE, f)
-                assert delta(complement(J, f), IRREDUCIBLE, f) == complement(di, f)
-                assert len(J ^ di) % 2 == 1
-                assert len(J ^ dr) % 2 == 0
-                cur = J
-                for _ in range(f):
-                    cur = delta(cur, IRREDUCIBLE, f)
-                assert cur == complement(J, f)
-                cur = J
-                for _ in range(f):
-                    cur = delta(cur, REDUCIBLE, f)
-                assert cur == J
+            assert all(ok for _, ok in _shift_identities(f)), f
         # local tables at every pattern, exact index identity for the
         # transition family, and the shift-composition law
         for p in (7, 11):
@@ -462,13 +415,7 @@ def test_criterion_10_end_to_end():
                         assert rep.g_closed == fq_mul(
                             eps, rep.pieces["alpha_factor"], params
                         )
-                        applicable = (
-                            rho.alpha == fq_one(params)
-                            if kind == IRREDUCIBLE
-                            else fq_mul(rho.alpha, rho.alpha_prime, params)
-                            == fq_one(params)
-                        )
-                        if applicable:
+                        if _theorem_applicable(rho, params):
                             assert theorem_form(rep, rho, params) == rep.g_closed
                         for t in range(1, cyc.k):
                             rot = rotate_cycle(cyc, t, rho)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -153,6 +154,52 @@ def test_invariant_failure_exit_1(capsys):
     )
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def _not_json(name):
+    raise ValueError("%s is not JSON" % name)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "stickelberger-scan --p 7 --f 2 --N 1",
+        "selftest --p 7 --f 1 --N 1",
+        "jacobi --p 7 --f 2 --a 1 --b 6 --N 1",
+    ],
+)
+def test_unresolved_valuation_is_a_failing_check(capsys, argv):
+    # at N = 1 some Jacobi sums are 0 mod p^N: their valuation is unresolved,
+    # which fails a check instead of crashing, and serializes as null
+    assert main(argv.split()) == 1
+    out = capsys.readouterr()
+    assert "[FAIL]" in out.out
+    assert out.err == ""
+    assert main(argv.split() + ["--json"]) == 1
+    rep = json.loads(capsys.readouterr().out, parse_constant=_not_json)
+    assert rep["summary"]["fail"] > 0
+
+
+# sha256 of five quick --json reports, pinned so that a change meant to keep
+# the output byte for byte is checked on every test run
+_REPORT_DIGESTS = [
+    ("selftest --p 7 --f 1 --seed 3",
+     "a4c01675c859a62c055e028899917c29459600e29029285ef240b9e9b04f992d"),
+    ("selftest --p 7 --f 2 --seed 1",
+     "2f9a1daf37d14f58bf3804eb45d1f83b3d4e7330812c5c0139a23035f0963804"),
+    ("contract --p 7 --f 2 --indices 5,43 --N 1",
+     "3bbdc631d841b0f435912b74df64707658eb873fd58db89deaf353172828733f"),
+    ("constant --p 7 --f 2 --kind red --r 2 --alpha-prime 1",
+     "a22ddbb888ec9efde831df123e96305bf819949fdbd3d2a9232ab369640bc013"),
+    ("stickelberger-scan --p 7 --f 2",
+     "f0a8fe10f4e782e986c45f92f3827d720aeb6e1d5af2e343e0db496dad2f449e"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _REPORT_DIGESTS, ids=[a for a, _ in _REPORT_DIGESTS])
+def test_report_digest_is_pinned(capsys, argv, digest):
+    assert main(argv.split() + ["--json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_selftest_reproducible(capsys):

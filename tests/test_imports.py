@@ -1,7 +1,7 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package or a test module imports is used there.
 
-Walks src/wittcycle/*.py with ast: a name bound by an import statement
-must be read somewhere in the module, or be listed in its __all__.
+Walks src/wittcycle/*.py and tests/*.py with ast: a name bound by an import
+statement must be read somewhere in the module, or be listed in its __all__.
 """
 
 import ast
@@ -9,7 +9,12 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "wittcycle"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "wittcycle"
+# ids: a package module by its file name, a test module as tests/<name>
+MODULES = [pytest.param(p, id=p.name) for p in sorted(SRC.glob("*.py"))] + [
+    pytest.param(p, id="tests/" + p.name) for p in sorted(TESTS.glob("*.py"))
+]
 
 
 def _imported(tree):
@@ -38,7 +43,7 @@ def unused_imports(source):
     return [(line, name) for line, name in _imported(tree) if name not in used]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

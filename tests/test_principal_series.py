@@ -3,7 +3,7 @@ import random
 import pytest
 
 from wittcycle import _tables
-from wittcycle.group_algebra import gl2_mul, s_operator
+from wittcycle.group_algebra import gl2_mul, s_operator, scale_vector
 from wittcycle.jacobi import jacobi_sum
 from wittcycle.padic import (
     Params,
@@ -22,7 +22,6 @@ from wittcycle.principal_series import (
     make_char,
     phi_vector,
     ps_act,
-    scale_vector,
 )
 
 P7 = Params.make(7, 1)

@@ -1,7 +1,7 @@
 import pytest
 
 from wittcycle.padic import Params
-from wittcycle.principal_series import exponent_shift, make_char
+from wittcycle.principal_series import exponent_shift
 from wittcycle.weights import (
     DLType,
     IRREDUCIBLE,
