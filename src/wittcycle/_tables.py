@@ -13,6 +13,11 @@ from functools import lru_cache
 
 from wittcycle import padic
 
+# Largest q whose tables are built.  mul and add are two q x q arrays of
+# 8-byte codes, 16 q^2 bytes: 92 MB at q = 2401 = 7^4 and at most 256 MiB
+# below this limit.
+MAX_TABLE_Q = 4096
+
 
 class FieldTables:
     __slots__ = (
@@ -24,10 +29,12 @@ class FieldTables:
         self.p = p
         self.f = f
         q = p ** f
+        if q > MAX_TABLE_Q:
+            raise ValueError("q = %d is above %d, the largest field with tables" % (q, MAX_TABLE_Q))
         self.q = q
         params1 = padic.Params(p, f, 1, modulus)
         self.params1 = params1
-        elems = list(padic.fq_elements(params1))
+        elems = [padic.digits(n, p, f) for n in range(q)]
         self.elems = elems
         self.code_of = {e: i for i, e in enumerate(elems)}
         self.generator = self._find_generator()
@@ -36,7 +43,7 @@ class FieldTables:
         g = self.generator
         cur = 1
         for k in range(1, m):
-            cur = self.code_of[padic.fq_mul(elems[cur], elems[g], params1)]
+            cur = self.code_of[padic.witt_mul(elems[cur], elems[g], params1)]
             exp[k] = cur
         self.exp = exp
         dlog = array("l", [-1] * q)
@@ -56,13 +63,13 @@ class FieldTables:
         self.mul = mul
         neg = array("l", [0] * q)
         for a in range(q):
-            neg[a] = self.code_of[padic.fq_neg(elems[a], params1)]
+            neg[a] = self.code_of[padic.witt_neg(elems[a], params1)]
         self.neg = neg
         add = array("l", [])
         for a in range(q):
             ea = elems[a]
             add.extend(
-                [self.code_of[padic.fq_add(ea, elems[b], params1)] for b in range(q)]
+                [self.code_of[padic.witt_add(ea, elems[b], params1)] for b in range(q)]
             )
         self.add = add
         inv = array("l", [0] * q)
@@ -78,7 +85,7 @@ class FieldTables:
             cur = g
             while cur != 1:
                 cur = self.code_of[
-                    padic.fq_mul(self.elems[cur], self.elems[g], self.params1)
+                    padic.witt_mul(self.elems[cur], self.elems[g], self.params1)
                 ]
                 order += 1
                 if order > m:

@@ -36,13 +36,11 @@ from wittcycle.jacobi import jacobi_sum, stickelberger_data
 from wittcycle.padic import (
     PRECISION_INF,
     Params,
-    fq_from_int,
-    fq_mul,
-    fq_neg,
-    fq_one,
     teichmuller,
     valuation_and_unit,
     witt_from_int,
+    witt_mul,
+    witt_neg,
     witt_one,
     witt_pow,
     witt_reduce,
@@ -223,9 +221,8 @@ def _jacobi_checks(a, b, convention, value, params):
         ref = jacobi_sum(a, b, "J0", params)
         v, lead = valuation_and_unit(ref, params)
         checks.append(_check("valuation equals digit-carry count", data.u, v))
-        checks.append(
-            _check("leading digit equals factorial unit", fq_from_int(data.unit, params), lead)
-        )
+        unit = witt_from_int(data.unit, params.residue)
+        checks.append(_check("leading digit equals factorial unit", unit, lead))
     if 0 < a < q - 1 and a + b == q - 1 and convention == "standard":
         checks.append(_check("complementary pair value", _complementary_value(a, params), value))
     return checks
@@ -290,7 +287,7 @@ def _scan_chunk(args):
                 "digit-carry count and factorial unit",
                 [
                     _check("valuation", data.u, v),
-                    _check("lead", fq_from_int(data.unit, params), lead),
+                    _check("lead", witt_from_int(data.unit, params.residue), lead),
                 ],
             )
         )
@@ -319,6 +316,7 @@ def _scan(params, pairs, jobs):
 
 
 def _cmd_stickelberger_scan(cfg, params):
+    tables_for(params)  # an oversized field is refused before its pairs are listed
     pairs = _scan_pairs(params, cfg.extra.get("limit"), random.Random(cfg.seed))
     return None, _scan(params, pairs, cfg.jobs)
 
@@ -330,11 +328,13 @@ def _contract_checks(indices, res, params):
     """The four identities a contraction must satisfy, as checks."""
     return [
         _check("v_alpha = v_beta - f", res.v_beta - params.f, res.v_alpha),
-        _check("lead_alpha = -lead_beta", fq_neg(res.lead_beta, res.params), res.lead_alpha),
+        _check(
+            "lead_alpha = -lead_beta", witt_neg(res.lead_beta, res.params.residue), res.lead_alpha
+        ),
         _check("v_beta digit formula", contraction_valuation(indices, params), res.v_beta),
         _check(
             "lead_beta factorial formula",
-            fq_from_int(contraction_lead(indices, params), res.params),
+            witt_from_int(contraction_lead(indices, params), res.params.residue),
             res.lead_beta,
         ),
     ]
@@ -454,8 +454,8 @@ def _cmd_cycles(cfg, params):
 def _theorem_applicable(rho, params):
     kind = normalize_kind(rho.kind)
     if kind == IRREDUCIBLE:
-        return rho.alpha == fq_one(params)
-    return fq_mul(rho.alpha, rho.alpha_prime, params) == fq_one(params)
+        return rho.alpha == witt_one(params.residue)
+    return witt_mul(rho.alpha, rho.alpha_prime, params.residue) == witt_one(params.residue)
 
 
 def _constant_item(cyc, rho, mode, params):

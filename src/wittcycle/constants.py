@@ -20,12 +20,12 @@ from wittcycle.group_algebra import (
 )
 from wittcycle.jacobi import jacobi_sum
 from wittcycle.padic import (
-    fq_from_int,
-    fq_inv,
-    fq_mul,
-    fq_one,
-    fq_pow,
     valuation_and_unit,
+    witt_from_int,
+    witt_inv,
+    witt_mul,
+    witt_one,
+    witt_pow,
     witt_reduce,
 )
 from wittcycle.principal_series import (
@@ -170,7 +170,7 @@ def degenerate_step_check(chi, i_psi, c, params):
     (-1)^{e} c phi-part mod p with e the determinant exponent of the
     source character; comparing against c S_0 phi mod p pins the constant.
     """
-    work = params.with_precision(1)
+    work = params.residue
     module = PSModule(chi, work)
     phi = phi_vector(module)
     s0phi = ps_act(module, s_operator(0, "S", work), phi)
@@ -195,7 +195,7 @@ def ctilde_product(cycle, rho, params):
     q, f = params.q, params.f
     D = cycle.sym_diff_size
     per_step = []
-    total = fq_one(params)
+    total = witt_one(params.residue)
     for t in range(cycle.k):
         chi = cycle.chars[t]
         i_psi = q - 1 - cycle.iplus[t]
@@ -218,14 +218,14 @@ def ctilde_product(cycle, rho, params):
                 "step %d: valuation %s, expected f - |sym diff| = %d"
                 % (t, v, f - D)
             )
-        want_lead = fq_from_int(step_lead_formula(cycle.subsets[t], rho), params)
+        want_lead = witt_from_int(step_lead_formula(cycle.subsets[t], rho), params.residue)
         if lead != want_lead:
             raise ArithmeticError(
                 "step %d: leading digit %s differs from formula %s"
                 % (t, lead, want_lead)
             )
         per_step.append(StepConstant(t, i_psi, b, v, lead, cycle.degenerate[t]))
-        total = fq_mul(total, lead, params)
+        total = witt_mul(total, lead, params.residue)
     return total, per_step
 
 
@@ -248,10 +248,6 @@ class ConstantReport:
     steps: tuple = None
 
 
-def _fq_sign(s, params):
-    return fq_one(params) if s == 1 else fq_from_int(-1, params)
-
-
 def _lead_to_int(lead, params):
     if any(lead[1:]):
         raise ArithmeticError("leading digit is not a prime-field scalar")
@@ -270,17 +266,17 @@ def breuil_constant(cycle, rho, mode, params, cache=None):
     if mode not in ("stepwise", "closed"):
         raise ValueError("mode must be stepwise or closed")
     kind = normalize_kind(rho.kind)
-    p, f = params.p, params.f
+    p, f, fq = params.p, params.f, params.residue
     k, D = cycle.k, cycle.sym_diff_size
     up = up_product(cycle, rho)
     sign_kd = 1 if up.p_power % 2 == 0 else -1
-    alpha_factor = fq_mul(
-        fq_pow(rho.alpha, up.alpha_exp, params),
-        fq_pow(rho.alpha_prime, up.alpha_prime_exp, params),
-        params,
+    alpha_factor = witt_mul(
+        witt_pow(rho.alpha, up.alpha_exp, fq),
+        witt_pow(rho.alpha_prime, up.alpha_prime_exp, fq),
+        fq,
     )
     if kind == IRREDUCIBLE and (k // 2) % 2:
-        alpha_factor = fq_mul(alpha_factor, fq_from_int(-1, params), params)
+        alpha_factor = witt_mul(alpha_factor, witt_from_int(-1, fq), fq)
 
     indices = tuple(cycle.iplus[(k - 1 - t) % k] for t in range(1, k + 1))
     v_formula = contraction_valuation(indices, params)
@@ -288,10 +284,10 @@ def breuil_constant(cycle, rho, mode, params, cache=None):
         raise ArithmeticError("digit-count valuation differs from k|sym diff|/2")
     lead_beta_closed = contraction_lead(indices, params)
     ct_closed = ctilde_closed(cycle)
-    g_closed = fq_mul(
-        fq_mul(_fq_sign(ct_closed, params), fq_from_int(lead_beta_closed, params), params),
-        fq_mul(_fq_sign(sign_kd, params), alpha_factor, params),
-        params,
+    g_closed = witt_mul(
+        witt_mul(witt_from_int(ct_closed, fq), witt_from_int(lead_beta_closed, fq), fq),
+        witt_mul(witt_from_int(sign_kd, fq), alpha_factor, fq),
+        fq,
     )
 
     epsilon = lead_beta_closed if sign_kd == 1 else (-lead_beta_closed) % p
@@ -302,9 +298,9 @@ def breuil_constant(cycle, rho, mode, params, cache=None):
     epsilon_sign = 1 if epsilon == 1 else -1
 
     pieces = {
-        "ctilde_product_lead": fq_from_int(ct_closed, params),
+        "ctilde_product_lead": witt_from_int(ct_closed, fq),
         "beta_valuation": v_formula,
-        "beta_lead": fq_from_int(lead_beta_closed, params),
+        "beta_lead": witt_from_int(lead_beta_closed, fq),
         "up_sign": up.sign,
         "alpha_factor": alpha_factor,
         "epsilon_sign": epsilon_sign,
@@ -328,10 +324,10 @@ def breuil_constant(cycle, rho, mode, params, cache=None):
         if cache is not None:
             cache[key] = (beta, ct_lead, per_step)
 
-    g_stepwise = fq_mul(
-        fq_mul(ct_lead, beta.lead_beta, params),
-        fq_mul(_fq_sign(sign_kd, params), alpha_factor, params),
-        params,
+    g_stepwise = witt_mul(
+        witt_mul(ct_lead, beta.lead_beta, fq),
+        witt_mul(witt_from_int(sign_kd, fq), alpha_factor, fq),
+        fq,
     )
 
     lead_beta_num = _lead_to_int(beta.lead_beta, params)
@@ -353,7 +349,7 @@ def breuil_constant(cycle, rho, mode, params, cache=None):
         problems.append(
             "beta lead: numeric %d vs formula %d" % (lead_beta_num, lead_beta_closed)
         )
-    if ct_lead != fq_from_int(ct_closed, params):
+    if ct_lead != witt_from_int(ct_closed, fq):
         problems.append("ctilde product: numeric %s vs sign %d" % (ct_lead, ct_closed))
     if g_stepwise != g_closed:
         problems.append("g mismatch: stepwise %s vs closed %s" % (g_stepwise, g_closed))
@@ -380,15 +376,15 @@ def theorem_form(report, rho, params):
     """
     kind = normalize_kind(rho.kind)
     cycle = report.cycle
-    k, f = cycle.k, params.f
-    eps = _fq_sign(report.pieces["epsilon_sign"], params)
+    k, f, fq = cycle.k, params.f, params.residue
+    eps = witt_from_int(report.pieces["epsilon_sign"], fq)
     if kind == IRREDUCIBLE:
-        sign = _fq_sign(1 if (k // 2) % 2 == 0 else -1, params)
-        return fq_mul(eps, sign, params)
+        sign = witt_from_int(1 if (k // 2) % 2 == 0 else -1, fq)
+        return witt_mul(eps, sign, fq)
     size = len(cycle.subsets[0])
     expo = (f - 2 * size) * k // f
     if expo >= 0:
-        unit = fq_pow(rho.alpha, expo, params)
+        unit = witt_pow(rho.alpha, expo, fq)
     else:
-        unit = fq_pow(fq_inv(rho.alpha, params), -expo, params)
-    return fq_mul(eps, unit, params)
+        unit = witt_pow(witt_inv(rho.alpha, fq), -expo, fq)
+    return witt_mul(eps, unit, fq)

@@ -32,17 +32,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from wittcycle import _tables
-from wittcycle.jacobi import _digits, factorial_mod_p, jacobi_sum
+from wittcycle.jacobi import factorial_mod_p, jacobi_sum
 from wittcycle.padic import (
     MAX_ESCALATIONS,
     PRECISION_INF,
+    digits,
     escalate,
-    fq_neg,
     valuation_and_unit,
     witt_add,
+    witt_from_int,
     witt_mul,
+    witt_neg,
     witt_one,
-    witt_scale,
     witt_sub,
     witt_zero,
 )
@@ -93,15 +94,6 @@ def ga_add(x, y, params):
             out[g] = s
         elif prev:
             del out[g]
-    return out
-
-
-def ga_scale(n, x, params):
-    out = {}
-    for g, c in x.items():
-        s = witt_scale(n, c, params)
-        if any(s):
-            out[g] = s
     return out
 
 
@@ -169,12 +161,12 @@ def _u_layout(p, f):
     """
     T, W = 2 * f - 1, 2 * p - 1
     offset = [
-        T * sum(d * W**i for i, d in enumerate(_digits(code, p, f)))
+        T * sum(d * W**i for i, d in enumerate(digits(code, p, f)))
         for code in range(p**f)
     ]
     target = array("l")
     for z in range(W**f):
-        code = sum((d % p) * p**i for i, d in enumerate(_digits(z, W, f)))
+        code = sum((d % p) * p**i for i, d in enumerate(digits(z, W, f)))
         target.extend(code * T + k for k in range(T))
     return offset, target
 
@@ -242,12 +234,12 @@ def u_convolve(x, y, params):
     prod = exact.multiply(
         _pack(x, lam_x, offset, width, params), _pack(y, 2, offset, width, params)
     )
-    digits = format(prod, "f")
-    span = -(-len(digits) // width) * width
-    digits = digits.zfill(span)
+    text = format(prod, "f")
+    span = -(-len(text) // width) * width
+    text = text.zfill(span)
     acc = [0] * (params.q * T)
     for t, i in zip(target, range(span - width, -1, -width)):
-        v = int(digits[i : i + width])
+        v = int(text[i : i + width])
         if v:
             acc[t] += v
     out = {}
@@ -303,7 +295,11 @@ def s_product_closed(i, j, variant, params):
     sign0 = 1 if (i + 1) % 2 == 0 else -1
     signq = q if i % 2 == 0 else -q
     tail = identity_elem(params) if variant == "S_plus" else {GL2_W: witt_one(params)}
-    return ga_add(ga_scale(sign0, s0, params), ga_scale(signq, tail, params), params)
+    return ga_add(
+        scale_vector(s0, witt_from_int(sign0, params), params),
+        scale_vector(tail, witt_from_int(signq, params), params),
+        params,
+    )
 
 
 def contraction_valuation(indices, params):
@@ -311,7 +307,7 @@ def contraction_valuation(indices, params):
     p, f = params.p, params.f
     total = 0
     for i in indices:
-        total += sum(p - 1 - d for d in _digits(i, p, f))
+        total += sum(p - 1 - d for d in digits(i, p, f))
     if total % (p - 1):
         raise ArithmeticError("digit total not divisible by p-1")
     return total // (p - 1)
@@ -324,7 +320,7 @@ def contraction_lead(indices, params):
     k = len(indices)
     out = 1
     for i in indices:
-        for d in _digits(i, p, f):
+        for d in digits(i, p, f):
             out = out * factorial_mod_p(d, p) % p
     if (v + (k - 2) * (f - 1)) % 2:
         out = (-out) % p
@@ -395,6 +391,6 @@ def _contract_once(indices, params):
             "valuation split violated: v(alpha)=%s v(beta)=%s f=%s"
             % (v_a, v_b, params.f)
         )
-    if lead_a != fq_neg(lead_b, params):
+    if lead_a != witt_neg(lead_b, params.residue):
         raise ArithmeticError("leading digits are not opposite")
     return ContractionResult(alpha, beta, v_a, lead_a, v_b, lead_b, params)

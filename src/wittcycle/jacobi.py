@@ -15,11 +15,7 @@ checked against each other in the tests.
 from dataclasses import dataclass
 
 from wittcycle import _tables
-from wittcycle.padic import witt_one, witt_add
-
-
-def _digits(n, p, f):
-    return tuple((n // p**i) % p for i in range(f))
+from wittcycle.padic import digits, witt_one, witt_add
 
 
 def jacobi_sum(a, b, zero_convention, params):
@@ -88,9 +84,9 @@ def stickelberger_data(a, b, params):
     wrapped = s > q - 1
     if wrapped:
         s -= q - 1
-    ad = _digits(a, p, f)
-    bd = _digits(b, p, f)
-    sd = _digits(s, p, f)
+    ad = digits(a, p, f)
+    bd = digits(b, p, f)
+    sd = digits(s, p, f)
     total = sum(p - 1 - (ad[j] + bd[j] - sd[j]) for j in range(f))
     if total % (p - 1):
         raise ArithmeticError("digit count is not divisible by p-1")

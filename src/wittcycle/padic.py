@@ -1,11 +1,12 @@
-"""Exact arithmetic in F_q and in the truncated Witt ring W(F_q)/p^N.
+"""Exact arithmetic in the truncated Witt ring W(F_q)/p^N, and so in F_q.
 
-q = p^f.  Both rings are written in the polynomial basis 1, t, ..., t^(f-1)
-where t is a root of a fixed monic irreducible modulus of degree f.  An
-element of F_q is a tuple of f integers in [0, p); an element of W(F_q)/p^N
-is a tuple of f integers in [0, p^N).  Tuples hash and compare structurally,
-so elements can be used as dict keys directly.  All operations are pure
-functions taking the element(s) first and a Params last.
+q = p^f.  Elements are written in the polynomial basis 1, t, ..., t^(f-1)
+where t is a root of a fixed monic irreducible modulus of degree f: an
+element of W(F_q)/p^N is a tuple of f integers in [0, p^N).  F_q is the
+ring at N = 1, so an element of F_q is a Witt tuple at params.residue, with
+integers in [0, p), and takes the same witt_* operations.  Tuples hash and
+compare structurally, so elements can be used as dict keys directly.  All
+operations are pure functions taking the element(s) first and a Params last.
 
 Ring axioms hold exactly at precision N.  A quantity that is 0 mod p^N has
 unknown valuation; valuation_and_unit reports PRECISION_INF for it and
@@ -14,9 +15,15 @@ callers are expected to retry at higher precision.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 PRECISION_INF = math.inf
+
+# Largest q that Params.make accepts.  Past _tables.MAX_TABLE_Q only the
+# digit combinatorics of weights and cycles run (tested up to q = 7^5); this
+# bound refuses an oversized p or f before the trial division of p and the
+# modulus search, which grow with p and with p^f.
+MAX_Q = 2 ** 24
 
 
 class PrecisionError(ArithmeticError):
@@ -48,22 +55,13 @@ def _prime_divisors(n):
     return out
 
 
-# Dense polynomials over F_p, ascending coefficients, used only to pick and
-# certify the modulus.
+# Dense polynomials over F_p, ascending coefficients, used only for the gcd
+# that certifies the modulus.
 
 def _gf_trim(a):
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def _gf_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _gf_trim(out)
 
 
 def _gf_mod(a, m, p):
@@ -92,40 +90,31 @@ def _gf_gcd(a, b, p):
     return a
 
 
-def _gf_pow_x(e, m, p):
-    # x^e mod m
-    result = [1]
-    base = _gf_mod([0, 1], m, p)
-    while e:
-        if e & 1:
-            result = _gf_mod(_gf_mul(result, base, p), m, p)
-        base = _gf_mod(_gf_mul(base, base, p), m, p)
-        e >>= 1
-    return result
-
-
 def _is_irreducible(m, p, f):
     if f == 1:
         return True
-    xq = _gf_pow_x(p ** f, m, p)
-    # x^(p^f) == x mod m
-    if _gf_trim(list(xq)) != [0, 1]:
+    # F_p[x]/(m) is a ring for any monic m: the Witt ring's operations at N = 1
+    ring = Params(p, f, 1, tuple(m))
+    x = (0, 1) + (0,) * (f - 2)
+    if witt_pow(x, p ** f, ring) != x:
         return False
     for ell in _prime_divisors(f):
-        xe = _gf_pow_x(p ** (f // ell), m, p)
-        d = list(xe) + [0] * max(0, 2 - len(xe))
+        d = list(witt_pow(x, p ** (f // ell), ring))
         d[1] = (d[1] - 1) % p
-        g = _gf_trim(list(_gf_gcd(list(m), _gf_trim(d), p)))
-        if len(g) != 1:
+        if len(_gf_gcd(list(m), _gf_trim(d), p)) != 1:
             return False
     return True
+
+
+def digits(n, p, f):
+    """The f base-p digits of n, least significant first."""
+    return tuple((n // p ** i) % p for i in range(f))
 
 
 def _default_modulus(p, f):
     """Least monic irreducible lift, coefficients compared from x^(f-1) down."""
     for n in range(p ** f):
-        lower = [(n // p ** i) % p for i in range(f)]
-        m = lower + [1]
+        m = list(digits(n, p, f)) + [1]
         if _is_irreducible(m, p, f):
             return tuple(m)
     raise ArithmeticError("no irreducible polynomial found")
@@ -154,8 +143,16 @@ class Params:
         # the fields, so equality, hashing and pickling are unchanged
         return self.p ** self.N
 
+    @cached_property
+    def residue(self):
+        # F_q = W(F_q)/p, the ring of every leading digit; like pN, not a field
+        return self.with_precision(1)
+
     @staticmethod
     def make(p, f, N=None, modulus=None):
+        # before anything that costs time in p or in p^f
+        if p > 1 and (p > MAX_Q or f >= MAX_Q.bit_length() or p ** f > MAX_Q):
+            raise ValueError("q = p^f must be at most %d" % MAX_Q)
         if not _is_prime(p) or p <= 5:
             raise ValueError("p must be a prime greater than 5")
         if f < 1:
@@ -204,80 +201,6 @@ def escalate(attempt, params, max_escalations, what):
 
 
 # ---------------------------------------------------------------------------
-# F_q
-
-def fq_one(params):
-    return (1,) + (0,) * (params.f - 1)
-
-
-def fq_from_int(n, params):
-    return (n % params.p,) + (0,) * (params.f - 1)
-
-
-def fq_add(a, b, params):
-    p = params.p
-    return tuple((x + y) % p for x, y in zip(a, b))
-
-
-def fq_neg(a, params):
-    p = params.p
-    return tuple((-x) % p for x in a)
-
-
-def fq_mul(a, b, params):
-    p, f, mod = params.p, params.f, params.modulus
-    if f == 1:
-        return ((a[0] * b[0]) % p,)
-    c = [0] * (2 * f - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                c[i + j] += ai * bj
-    for k in range(2 * f - 2, f - 1, -1):
-        t = c[k] % p
-        if t:
-            base = k - f
-            for i in range(f):
-                c[base + i] -= t * mod[i]
-        c[k] = 0
-    return tuple(x % p for x in c[:f])
-
-
-def fq_pow(a, e, params):
-    e = int(e)
-    if e < 0:
-        a = fq_inv(a, params)
-        e = -e
-    result = fq_one(params)
-    base = a
-    while e:
-        if e & 1:
-            result = fq_mul(result, base, params)
-        base = fq_mul(base, base, params)
-        e >>= 1
-    return result
-
-
-def fq_inv(a, params):
-    if not any(a):
-        raise ZeroDivisionError("inverse of 0 in F_q")
-    return fq_pow(a, params.q - 2, params)
-
-
-@lru_cache(maxsize=None)
-def _fq_elements_key(p, f, modulus):
-    out = []
-    for n in range(p ** f):
-        out.append(tuple((n // p ** i) % p for i in range(f)))
-    return out
-
-
-def fq_elements(params):
-    """All q elements; index of an element equals sum(c_i p^i)."""
-    return _fq_elements_key(params.p, params.f, params.modulus)
-
-
-# ---------------------------------------------------------------------------
 # W(F_q)/p^N
 
 def witt_zero(params):
@@ -305,12 +228,6 @@ def witt_sub(x, y, params):
 def witt_neg(x, params):
     m = params.pN
     return tuple((-a) % m for a in x)
-
-
-def witt_scale(n, x, params):
-    m = params.pN
-    n = n % m
-    return tuple((n * a) % m for a in x)
 
 
 def witt_mul(x, y, params):
@@ -409,7 +326,7 @@ def witt_inv(x, params):
     v, lead = valuation_and_unit(x, params)
     if v is PRECISION_INF or v > 0:
         raise ZeroDivisionError("not a unit in W(F_q)/p^N")
-    y = witt_lift(fq_inv(lead, params), params)
+    y = witt_lift(witt_pow(lead, params.q - 2, params.residue), params)
     # Newton: y -> y(2 - xy) doubles correct digits each step.
     steps = max(1, math.ceil(math.log2(params.N))) + 1
     two = witt_from_int(2, params)

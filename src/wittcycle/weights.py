@@ -12,7 +12,7 @@ Subsets are frozensets of residues mod f.  A formal weight is a tuple of
 
 from dataclasses import dataclass
 
-from wittcycle.padic import fq_from_int
+from wittcycle.padic import witt_from_int
 from wittcycle.principal_series import exponent_shift, make_char
 
 REDUCIBLE = "reducible-split"
@@ -60,12 +60,12 @@ def make_rho(kind, r, alpha, params, alpha_prime=None):
         if not 1 < x < p - 4:
             raise ValueError("genericity requires 1 < r_j < p-4")
     if isinstance(alpha, int):
-        alpha = fq_from_int(alpha, params)
+        alpha = witt_from_int(alpha, params.residue)
     alpha = tuple(alpha)
     if not any(alpha):
         raise ValueError("alpha must be a unit")
     if kind == IRREDUCIBLE:
-        forced = fq_from_int(-1, params)
+        forced = witt_from_int(-1, params.residue)
         if alpha_prime is not None and tuple(alpha_prime) != forced:
             raise ValueError("alpha_prime is fixed to -1 in the irreducible case")
         alpha_prime = forced
@@ -73,7 +73,7 @@ def make_rho(kind, r, alpha, params, alpha_prime=None):
         if alpha_prime is None:
             raise ValueError("split reducible needs alpha_prime")
         if isinstance(alpha_prime, int):
-            alpha_prime = fq_from_int(alpha_prime, params)
+            alpha_prime = witt_from_int(alpha_prime, params.residue)
         alpha_prime = tuple(alpha_prime)
         if not any(alpha_prime):
             raise ValueError("alpha_prime must be a unit")

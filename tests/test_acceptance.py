@@ -45,10 +45,9 @@ from wittcycle.group_algebra import (
 from wittcycle.jacobi import jacobi_sum
 from wittcycle.padic import (
     Params,
-    fq_from_int,
-    fq_inv,
-    fq_mul,
-    fq_neg,
+    witt_from_int,
+    witt_inv,
+    witt_mul,
     witt_neg,
 )
 from wittcycle.principal_series import (
@@ -364,12 +363,12 @@ def test_criterion_08_per_step_constants():
                     D = cyc.sym_diff_size
                     for t, st in enumerate(steps):
                         assert st.valuation == f - D
-                        assert st.lead == fq_from_int(
-                            step_lead_formula(cyc.subsets[t], rho), params
+                        assert st.lead == witt_from_int(
+                            step_lead_formula(cyc.subsets[t], rho), params.residue
                         )
-                    assert ct_lead == fq_from_int(ctilde_closed(cyc), params)
+                    assert ct_lead == witt_from_int(ctilde_closed(cyc), params.residue)
                     want = 1 if kind == IRREDUCIBLE else (-1) ** cyc.k
-                    assert ct_lead == fq_from_int(want, params)
+                    assert ct_lead == witt_from_int(want, params.residue)
 
 
 def test_criterion_09_contraction_term():
@@ -383,13 +382,13 @@ def test_criterion_09_contraction_term():
                     beta, _, _ = _CACHE[(cyc.subsets, cyc.iplus)]
                     k, D = cyc.k, cyc.sym_diff_size
                     assert beta.v_beta == k * D // 2
-                    assert beta.lead_alpha == fq_neg(beta.lead_beta, beta.params)
+                    assert beta.lead_alpha == witt_neg(beta.lead_beta, beta.params.residue)
                     eps = rep.pieces["epsilon_sign"]
                     assert eps in (1, -1)
                     sign = eps * (-1) ** (k * D // 2)
                     if kind == REDUCIBLE:
                         sign *= (-1) ** k
-                    assert beta.lead_beta == fq_from_int(sign, params)
+                    assert beta.lead_beta == witt_from_int(sign, params.residue)
 
 
 def test_criterion_10_end_to_end():
@@ -403,17 +402,18 @@ def test_criterion_10_end_to_end():
                 for alpha in units:
                     ap = None
                     if kind == REDUCIBLE:
-                        a_fq = fq_from_int(alpha, params) if isinstance(alpha, int) else alpha
-                        ap = fq_inv(a_fq, params)
+                        fq = params.residue
+                        a_fq = witt_from_int(alpha, fq) if isinstance(alpha, int) else alpha
+                        ap = witt_inv(a_fq, fq)
                     rho = _rho_for(kind, params, alpha=alpha, alpha_prime=ap)
                     for cyc in cycles_of(rho):
                         rep = _stepwise(cyc, rho, params)
                         assert rep.g_stepwise == rep.g_closed
                         assert sum(v for _, v in rep.valuation_ledger) == 0
                         # both halves of the p-power sign cancel
-                        eps = fq_from_int(rep.pieces["epsilon_sign"], params)
-                        assert rep.g_closed == fq_mul(
-                            eps, rep.pieces["alpha_factor"], params
+                        eps = witt_from_int(rep.pieces["epsilon_sign"], params.residue)
+                        assert rep.g_closed == witt_mul(
+                            eps, rep.pieces["alpha_factor"], params.residue
                         )
                         if _theorem_applicable(rho, params):
                             assert theorem_form(rep, rho, params) == rep.g_closed

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from wittcycle import _tables, cli, padic
 from wittcycle.cli import (
     RunConfig,
     _pool_size,
@@ -107,6 +108,22 @@ def test_config_error_exit_2(capsys):
     )
     assert code == 2
     assert "genericity" in capsys.readouterr().err
+
+
+def test_oversized_field_exit_2(monkeypatch, capsys):
+    monkeypatch.setattr(padic, "MAX_Q", 100)
+    assert main(["field-info", "--p", "11", "--f", "2"]) == 2
+    assert "at most 100" in capsys.readouterr().err
+    monkeypatch.undo()
+    # q = 101 has no tables under this limit, but its combinatorics still run
+    assert _tables.MAX_TABLE_Q >= 7**4
+    monkeypatch.setattr(_tables, "MAX_TABLE_Q", 100)
+    monkeypatch.setattr(cli, "_scan_pairs", None)  # refused before the pair list
+    for argv in (["jacobi", "--a", "1", "--b", "2"], ["stickelberger-scan"]):
+        assert main(argv + ["--p", "101", "--f", "1"]) == 2
+        assert "largest field with tables" in capsys.readouterr().err
+    rho = ["--kind", "irr", "--r", "2", "--alpha", "1"]
+    assert main(["weights", "--p", "101", "--f", "1"] + rho) == 0
 
 
 def test_inadmissible_type_exit_2(capsys):

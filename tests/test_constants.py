@@ -1,7 +1,7 @@
 import pytest
 
 from wittcycle.group_algebra import contraction_lead
-from wittcycle.padic import Params, fq_from_int, fq_mul
+from wittcycle.padic import Params, witt_from_int, witt_mul
 from wittcycle.constants import (
     UpMonomial,
     beta_by_bruteforce,
@@ -148,7 +148,7 @@ def test_alpha_scaling_irreducible():
     cyc = _only_cycle(rho3)
     base = breuil_constant(_only_cycle(RHO_IRR_F1), RHO_IRR_F1, "closed", P7)
     rep = breuil_constant(cyc, rho3, "closed", P7)
-    assert rep.g_closed == fq_mul(base.g_closed, fq_from_int(3, P7), P7)
+    assert rep.g_closed == witt_mul(base.g_closed, witt_from_int(3, P7.residue), P7.residue)
 
 
 def test_alpha_inverse_pair_reducible():
@@ -171,7 +171,7 @@ def test_theorem_form_with_unbalanced_subsets():
         assert rep.g_closed == theorem_form(rep, rho, P7F3)
     units = {c: breuil_constant(c, rho, "closed", P7F3).g_closed for c in cycles}
     vals = list(units.values())
-    assert fq_mul(vals[0], vals[1], P7F3) == (1, 0, 0)
+    assert witt_mul(vals[0], vals[1], P7F3.residue) == (1, 0, 0)
 
 
 def test_rotation_invariance():
@@ -209,14 +209,14 @@ def test_beta_bruteforce_matches_digit_formulas():
     assert res.v_beta == cyc.k * cyc.sym_diff_size // 2 == 2
     k = cyc.k
     indices = tuple(cyc.iplus[(k - 1 - t) % k] for t in range(1, k + 1))
-    assert res.lead_beta == fq_from_int(contraction_lead(indices, P7F2), P7F2)
+    assert res.lead_beta == witt_from_int(contraction_lead(indices, P7F2), P7F2.residue)
 
 
 def test_step_leads_match_formula_f2():
     cyc = _only_cycle(RHO_IRR_F2)
     _, steps = ctilde_product(cyc, RHO_IRR_F2, P7F2)
     for t, st in enumerate(steps):
-        want = fq_from_int(step_lead_formula(cyc.subsets[t], RHO_IRR_F2), P7F2)
+        want = witt_from_int(step_lead_formula(cyc.subsets[t], RHO_IRR_F2), P7F2.residue)
         assert st.lead == want
         assert st.valuation == P7F2.f - cyc.sym_diff_size
 

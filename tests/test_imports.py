@@ -1,7 +1,11 @@
-"""Every name a module of the package or a test module imports is used there.
+"""Every name a module of the package or a test module imports is used there,
+and every top-level def or class of the package is read somewhere.
 
 Walks src/wittcycle/*.py and tests/*.py with ast: a name bound by an import
-statement must be read somewhere in the module, or be listed in its __all__.
+statement must be read somewhere in the module, or be listed in its __all__;
+a function or class defined at the top of a package module must be read, by
+name or as an attribute, in the package or the tests, or be listed in an
+__all__.
 """
 
 import ast
@@ -27,14 +31,18 @@ def _imported(tree):
                 yield node.lineno, alias.asname or alias.name
 
 
-def _used(tree):
-    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+def _exported(tree):
+    names = set()
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             names |= set(ast.literal_eval(node.value))
     return names
+
+
+def _used(tree):
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
 
 
 def unused_imports(source):
@@ -51,3 +59,45 @@ def test_no_unused_imports(path):
 def test_checker_flags_unused_and_honours_all():
     src = "import os\nfrom a import b, c as d\n__all__ = ['b']\nos.sep\n"
     assert unused_imports(src) == [(2, "d")]
+
+
+def _defined(tree):
+    return [
+        (node.lineno, node.name)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+
+
+def _read(tree):
+    nodes = list(ast.walk(tree))
+    names = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return names | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+
+
+def dead_definitions(sources):
+    """(module, line, name) of each top-level def or class in sources[module]
+    that no module reads, by name or as an attribute, and no __all__ lists."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = set().union(*(_read(t) | _exported(t) for t in trees.values()))
+    return [
+        (module, line, name)
+        for module, tree in trees.items()
+        for line, name in _defined(tree)
+        if name not in read
+    ]
+
+
+def test_no_dead_definitions():
+    sources = {"tests/" + p.name: p.read_text() for p in TESTS.glob("*.py")}
+    src = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    dead = [d for d in dead_definitions({**sources, **src}) if d[0] in src]
+    assert dead == []
+
+
+def test_checker_flags_dead_definitions():
+    srcs = {
+        "a.py": "def used():\n    pass\n\ndef dead():\n    pass\n\nclass Listed:\n    pass\n",
+        "b.py": "__all__ = ['Listed']\nimport a\na.used()\n",
+    }
+    assert dead_definitions(srcs) == [("a.py", 4, "dead")]

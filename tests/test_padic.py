@@ -4,17 +4,14 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wittcycle import padic
+from wittcycle._tables import tables_for
 from wittcycle.padic import (
     PRECISION_INF,
     Params,
     PrecisionError,
+    _is_irreducible,
     escalate,
-    fq_add,
-    fq_elements,
-    fq_inv,
-    fq_mul,
-    fq_one,
-    fq_pow,
     raise_precision,
     teichmuller,
     valuation_and_unit,
@@ -26,7 +23,6 @@ from wittcycle.padic import (
     witt_one,
     witt_pow,
     witt_reduce,
-    witt_scale,
     witt_sub,
     witt_unit_part,
 )
@@ -52,6 +48,43 @@ def test_params_validation():
         Params.make(7, 2, modulus=(6, 0, 1))  # x^2 + 6 = (x-1)(x+1) mod 7
 
 
+def test_params_refuses_large_q_first(monkeypatch):
+    def no_prime_test(n):
+        raise AssertionError("the q guard must run before the primality test")
+
+    monkeypatch.setattr(padic, "MAX_Q", 100)
+    monkeypatch.setattr(padic, "_is_prime", no_prime_test)
+    for p, f in [(11, 2), (7, 3), (101, 1), (7, 10**12), (10**40 + 1, 1)]:
+        with pytest.raises(ValueError, match="at most 100"):
+            Params.make(p, f)
+    monkeypatch.undo()
+    monkeypatch.setattr(padic, "MAX_Q", 100)
+    assert Params.make(7, 2).q == 49
+
+
+def _mobius(n):
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+@pytest.mark.parametrize("f", [2, 3])
+def test_irreducible_count_matches_necklace_formula(f):
+    # monic irreducibles of degree f over F_p: (1/f) sum_{d | f} mu(d) p^(f/d)
+    p = 7
+    found = sum(
+        _is_irreducible([(n // p**i) % p for i in range(f)] + [1], p, f) for n in range(p**f)
+    )
+    want = sum(_mobius(d) * p ** (f // d) for d in range(1, f + 1) if f % d == 0) // f
+    assert found == want == {2: 21, 3: 112}[f]
+
+
 def test_modulus_is_certified_irreducible():
     # degree 2 and 3 are irreducible over F_p iff they have no root in F_p
     for p, f in [(7, 2), (7, 3), (11, 2), (11, 3)]:
@@ -71,28 +104,28 @@ def test_teichmuller_frozen_value():
 def test_teichmuller_fixed_point_and_multiplicative():
     for p, f in [(7, 1), (7, 2), (11, 2)]:
         P = Params.make(p, f)
-        els = fq_elements(P)
+        els = tables_for(P).elems
         for a in els[: min(len(els), 30)]:
             t = teichmuller(a, P)
             assert witt_pow(t, P.q, P) == t
             assert witt_reduce(t, P) == a
         for a, b in [(els[3], els[5]), (els[1], els[-1]), (els[-2], els[7 % len(els)])]:
             assert witt_mul(teichmuller(a, P), teichmuller(b, P), P) == teichmuller(
-                fq_mul(a, b, P), P
+                witt_mul(a, b, P.residue), P
             )
 
 
 def test_teichmuller_of_unity_roots():
     # [x]^(q-1) = 1 for every unit
     P = Params.make(7, 2, N=5)
-    for a in fq_elements(P):
+    for a in tables_for(P).elems:
         if any(a):
             assert witt_pow(teichmuller(a, P), P.q - 1, P) == witt_one(P)
 
 
 def test_valuation_frozen_value():
     P = Params.make(7, 1, N=3)
-    x = witt_scale(49, teichmuller((3,), P), P)
+    x = witt_mul(witt_from_int(49, P), teichmuller((3,), P), P)
     assert valuation_and_unit(x, P) == (2, (3,))
 
 
@@ -100,19 +133,19 @@ def test_valuation_of_zero_is_infinite():
     P = Params.make(7, 2, N=4)
     v, lead = valuation_and_unit((0, 0), P)
     assert v is PRECISION_INF and lead is None
-    v, lead = valuation_and_unit(witt_scale(7**4, witt_one(P), P), P)
+    v, lead = valuation_and_unit(witt_from_int(7**4, P), P)
     assert v is PRECISION_INF
     assert math.isinf(v)
 
 
 def test_valuation_additive_on_products():
     P = Params.make(7, 2, N=8)
-    els = fq_elements(P)
-    x = witt_scale(7, teichmuller(els[5], P), P)
-    y = witt_scale(49, teichmuller(els[9], P), P)
+    els = tables_for(P).elems
+    x = witt_mul(witt_from_int(7, P), teichmuller(els[5], P), P)
+    y = witt_mul(witt_from_int(49, P), teichmuller(els[9], P), P)
     v, lead = valuation_and_unit(witt_mul(x, y, P), P)
     assert v == 3
-    assert lead == fq_mul(els[5], els[9], P)
+    assert lead == witt_mul(els[5], els[9], P.residue)
 
 
 def test_unit_part_and_exact_division():
@@ -198,17 +231,19 @@ def test_ring_axioms_f2(x, y, z):
 
 
 def test_fq_field_axioms_small():
+    # F_q is the Witt ring at N = 1
     P = Params.make(7, 2)
-    els = fq_elements(P)
-    one = fq_one(P)
+    R = P.residue
+    els = tables_for(P).elems
+    one = witt_one(R)
     for a in els:
         if any(a):
-            assert fq_mul(a, fq_inv(a, P), P) == one
-            assert fq_pow(a, P.q - 1, P) == one
+            assert witt_mul(a, witt_inv(a, R), R) == one
+            assert witt_pow(a, P.q - 1, R) == one
     # Frobenius is additive: (a+b)^p = a^p + b^p
     for a, b in [(els[3], els[11]), (els[20], els[45])]:
-        assert fq_pow(fq_add(a, b, P), P.p, P) == fq_add(
-            fq_pow(a, P.p, P), fq_pow(b, P.p, P), P
+        assert witt_pow(witt_add(a, b, R), P.p, R) == witt_add(
+            witt_pow(a, P.p, R), witt_pow(b, P.p, R), R
         )
 
 
@@ -223,6 +258,12 @@ def test_params_cached_pN_keeps_identity():
     assert c == a and hash(c) == h and c.pN == a.pN
     d = pickle.loads(pickle.dumps(b))  # pickled before pN was read
     assert d == a and hash(d) == h and d.pN == a.pN
+    r = a.residue
+    assert r is a.residue and "residue" in vars(a)
+    assert r == Params(7, 2, 1, a.modulus) and r.pN == 7
+    assert a == b and hash(a) == h and repr(a) == repr(b)
+    e = pickle.loads(pickle.dumps(a))  # pickled with residue cached
+    assert e == b and hash(e) == h and e.residue == r
     higher = a.with_precision(10)
     assert higher.pN == 7**10 and raise_precision(a).pN == 7 ** (8 + 4)
     assert higher != a
