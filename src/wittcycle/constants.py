@@ -24,6 +24,7 @@ from wittcycle.padic import (
     witt_from_int,
     witt_inv,
     witt_mul,
+    witt_neg,
     witt_one,
     witt_pow,
     witt_reduce,
@@ -177,7 +178,7 @@ def degenerate_step_check(chi, i_psi, c, params):
     u = ps_act(module, s_operator(i_psi, "S", work), s0phi)
     c1 = witt_reduce(c, params)
     if chi.m2 % 2:
-        c1 = tuple((-a) % params.p for a in c1)
+        c1 = witt_neg(c1, work)
     want = scale_vector(s0phi, c1, work)
     if u != want:
         raise ArithmeticError("degenerate-step surrogate identity failed mod p")
