@@ -570,13 +570,14 @@ def _selftest_jacobi(params):
 
 
 def _selftest_stickelberger(cfg, params, full):
-    cap = None if params.q <= 49 else (2000 if full else 200)
+    q = params.q
+    cap = None if q <= 49 else (2000 if full else 200)
     pairs = _scan_pairs(params, cap, random.Random(cfg.seed + 1))
     cases = (
         (it["inputs"], all(c["pass"] for c in it["checks"])) for it in _scan(params, pairs, cfg.jobs)
     )
     return _item(
-        {"pairs": len(pairs), "exhaustive": cap is None or cap >= len(pairs)},
+        {"pairs": len(pairs), "exhaustive": cap is None or cap >= (q - 2) * (q - 3)},
         {},
         "digit-carry count and factorial unit",
         [_tally("valuation and lead", cases)],

@@ -10,6 +10,7 @@ from wittcycle.cli import (
     RunConfig,
     _pool_size,
     _scan_pairs,
+    _selftest_stickelberger,
     build_parser,
     canonical_json,
     main,
@@ -290,6 +291,15 @@ def test_scan_pairs_sample_equals_list_sample(p, f):
         for limit in (None, 0, 1, 10, n // 2, n - 1, n, n + 5):
             got = _scan_pairs(params, limit, random.Random(seed))
             assert got == _scan_pairs_by_list(params, limit, seed), (seed, limit)
+
+
+@pytest.mark.parametrize("p, f, exhaustive", [(7, 2, True), (11, 2, False)])
+def test_selftest_stickelberger_exhaustive_flag(p, f, exhaustive):
+    # q = 121 quick samples 200 of its 119 * 118 pairs; q = 49 scans all
+    cfg = RunConfig(command="selftest", p=p, f=f, seed=1)
+    item = _selftest_stickelberger(cfg, Params.make(p, f), full=False)
+    assert item["inputs"]["exhaustive"] is exhaustive
+    assert item["inputs"]["pairs"] == (200 if p == 11 else 47 * 46)
 
 
 def test_pool_size_is_clamped(monkeypatch):
