@@ -145,7 +145,7 @@ class Params:
 
     @cached_property
     def residue(self):
-        # F_q = W(F_q)/p, the ring of every leading digit; like pN, not a field
+        # F_q = W(F_q)/p, the ring of every leading digit; cached like pN
         return self.with_precision(1)
 
     @staticmethod
