@@ -15,7 +15,6 @@ from wittcycle.group_algebra import (
     contract_splus,
     contraction_lead,
     contraction_valuation,
-    s_operator,
     scale_vector,
 )
 from wittcycle.jacobi import jacobi_sum
@@ -29,12 +28,7 @@ from wittcycle.padic import (
     witt_pow,
     witt_reduce,
 )
-from wittcycle.principal_series import (
-    PSModule,
-    exchange_constant,
-    phi_vector,
-    ps_act,
-)
+from wittcycle.principal_series import PSModule, exchange_constant, exchange_vectors
 from wittcycle.weights import (
     IRREDUCIBLE,
     REDUCIBLE,
@@ -172,10 +166,7 @@ def degenerate_step_check(chi, i_psi, c, params):
     source character; comparing against c S_0 phi mod p pins the constant.
     """
     work = params.residue
-    module = PSModule(chi, work)
-    phi = phi_vector(module)
-    s0phi = ps_act(module, s_operator(0, "S", work), phi)
-    u = ps_act(module, s_operator(i_psi, "S", work), s0phi)
+    s0phi, u, _ = exchange_vectors(PSModule(chi, work), i_psi)
     c1 = witt_reduce(c, params)
     if chi.m2 % 2:
         c1 = witt_neg(c1, work)

@@ -10,12 +10,23 @@ from labels to Witt tuples with zero entries dropped.
 
 A diagonal character is a pair (m1, m2) of exponents mod q-1:
 diag(a, d) acts on the phi line by [a]^m1 [d]^m2.
+
+The U- chart is the P^1 = B\\G model of the module: e_mu = u-(mu) phi for mu
+in F_q, with u-(mu) = (1 0; mu 1), together with label 1, the coset Bw,
+which U- fixes.  e_0 = phi, and each other e_mu is a Teichmuller multiple of
+one basis vector other than label 1.  In the chart S+_i acts as an additive
+convolution over F_q (group_algebra.u_convolve) and w = GL2_W acts
+monomially, so S_i = w S+_i costs one convolution and O(q) work.
+exchange_vectors, the production route of exchange_constant and of the
+degenerate-step check, works there; ps_act, the action of any group-algebra
+element term by term, is the oracle it is checked against, and still serves
+single group elements.
 """
 
 from dataclasses import dataclass
 
 from wittcycle import _tables
-from wittcycle.group_algebra import gl2_inv, s_operator, scale_vector
+from wittcycle.group_algebra import GL2_W, gl2_inv, s_operator, scale_vector, u_convolve
 from wittcycle.padic import (
     MAX_ESCALATIONS,
     PRECISION_INF,
@@ -25,6 +36,8 @@ from wittcycle.padic import (
     witt_divide_exact,
     witt_mul,
     witt_one,
+    witt_reduce,
+    witt_zero,
 )
 
 
@@ -187,6 +200,67 @@ def eigen_check(module, vec, xi):
     return True
 
 
+def _u_chart(module):
+    """For each code mu, the label and Teichmuller scalar s with
+    u-(mu) phi = s e_label, and 1/s, read off q one-element actions."""
+    params = module.params
+    T = _tables.tables_for(params)
+    teich = _tables.teich_by_code(params)
+    phi = phi_vector(module)
+    label, scalar, inverse = [], [], []
+    for mu in range(params.q):
+        ((lbl, s),) = ps_act(module, (1, 0, mu, 1), phi).items()
+        label.append(lbl)
+        scalar.append(s)
+        inverse.append(teich[T.inv[T.code_of[witt_reduce(s, params)]]])
+    return label, scalar, inverse
+
+
+def _chart_to_labels(chart, x, params):
+    """The vector sum over mu of x[u-(mu)] e_mu."""
+    label, scalar, _ = chart
+    return {label[g[2]]: witt_mul(c, scalar[g[2]], params) for g, c in x.items()}
+
+
+def _chart_s_plus(chart, v, i, params):
+    """S+_i v: one additive convolution on the chart coordinates of v, and
+    label 1, which U- fixes, times the sum of the kernel's coefficients."""
+    label, _, inverse = chart
+    mu_of = {lbl: mu for mu, lbl in enumerate(label)}
+    x = {}
+    for lbl, c in v.items():
+        if lbl != 1:
+            mu = mu_of[lbl]
+            x[(1, 0, mu, 1)] = witt_mul(c, inverse[mu], params)
+    kernel = s_operator(i, "S_plus", params)
+    out = _chart_to_labels(chart, u_convolve(x, kernel, params), params)
+    if 1 in v:
+        total = witt_zero(params)
+        for c in kernel.values():
+            total = witt_add(total, c, params)
+        at_one = witt_mul(v[1], total, params)
+        if any(at_one):
+            out[1] = at_one
+    return out
+
+
+def exchange_vectors(module, i_psi):
+    """S_0 phi, S_{i_psi} S_0 phi and S+_{q-1-i_psi} phi, in the U- chart.
+
+    S_i = w S+_i, and S+_i phi is the kernel of S+_i moved to labels, so the
+    three vectors cost one u_convolve and two O(q) actions of w.
+    """
+    params = module.params
+    chart = _u_chart(module)
+
+    def s_plus_phi(i):
+        return _chart_to_labels(chart, s_operator(i, "S_plus", params), params)
+
+    s0phi = ps_act(module, GL2_W, s_plus_phi(0))
+    u = ps_act(module, GL2_W, _chart_s_plus(chart, s0phi, i_psi, params))
+    return s0phi, u, s_plus_phi(params.q - 1 - i_psi)
+
+
 def exchange_constant(psi_s, i_psi, params):
     """The scalar c with S_{i_psi} S_0 phi = c S+_{q-1-i_psi} phi.
 
@@ -210,17 +284,14 @@ def exchange_constant(psi_s, i_psi, params):
         )
     i_plus = q - 1 - i_psi
     c, used = escalate(
-        lambda work: _exchange_once(psi_s, i_psi, i_plus, work), params, MAX_ESCALATIONS,
+        lambda work: _exchange_once(psi_s, i_psi, work), params, MAX_ESCALATIONS,
         "exchange constant",
     )
     return c, i_plus, used
 
 
-def _exchange_once(psi_s, i_psi, i_plus, params):
-    module = PSModule(psi_s, params)
-    phi = phi_vector(module)
-    u = ps_act(module, s_operator(i_psi, "S", params), ps_act(module, s_operator(0, "S", params), phi))
-    w = ps_act(module, s_operator(i_plus, "S_plus", params), phi)
+def _exchange_once(psi_s, i_psi, params):
+    _, u, w = exchange_vectors(PSModule(psi_s, params), i_psi)
     if not w:
         raise ArithmeticError("comparison vector vanished")
     # every nonzero coordinate of w is a unit times phi translate, so the

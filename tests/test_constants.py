@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+from wittcycle import principal_series
 from wittcycle.group_algebra import contraction_lead
 from wittcycle.padic import Params, witt_from_int, witt_mul
 from wittcycle.constants import (
@@ -233,3 +236,23 @@ def test_bad_mode_rejected():
     cyc = _only_cycle(RHO_IRR_F1)
     with pytest.raises(ValueError):
         breuil_constant(cyc, RHO_IRR_F1, "fast", P7)
+
+
+def test_stepwise_constants_act_by_single_elements(monkeypatch):
+    # the exchange constants run in the U- chart: every ps_act call acts by
+    # one group element, never by an O(q^2) group-algebra sum
+    generic = principal_series.ps_act
+    sizes = []
+
+    def counting(module, x, v):
+        sizes.append(1 if isinstance(x, tuple) else len(x))
+        return generic(module, x, v)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("wittcycle") and getattr(mod, "ps_act", None) is generic:
+            monkeypatch.setattr(mod, "ps_act", counting)
+    for rho in (RHO_IRR_F2, RHO_RED_F2):
+        for cyc in cycles_of(rho):
+            rep = breuil_constant(cyc, rho, "stepwise", P7F2)
+            assert rep.g_stepwise == rep.g_closed
+    assert sizes and max(sizes) == 1

@@ -1,0 +1,82 @@
+"""The numeric route never reads a closed formula.
+
+Exchange constants are multiplied out in the U- chart and only afterwards
+compared with the Jacobi-sum and digit-count formulas.  If a function of the
+numeric route read one of those formulas, directly or through any package
+function it reads, the two routes would stop being independent.  Walks
+src/wittcycle/*.py with ast: from each root, every top-level def or class of
+the package whose name a reached body reads is followed in turn, and the
+names read along the way must miss the closed route.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "wittcycle"
+CLOSED = {
+    "jacobi_sum",
+    "stickelberger_data",
+    "contraction_lead",
+    "contraction_valuation",
+    "step_lead_formula",
+    "s_product_closed",
+}
+NUMERIC = [
+    "_exchange_once",
+    "exchange_vectors",
+    "_u_chart",
+    "_chart_s_plus",
+    "_chart_to_labels",
+    "degenerate_step_check",
+    "_contract_once",
+]
+
+
+def definitions(sources):
+    """Top-level defs and classes of the given module texts, by name."""
+    return {
+        node.name: node
+        for text in sources
+        for node in ast.parse(text).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+
+
+def _names(node):
+    nodes = list(ast.walk(node))
+    return {n.id for n in nodes if isinstance(n, ast.Name)} | {
+        n.attr for n in nodes if isinstance(n, ast.Attribute)
+    }
+
+
+def reached(roots, defs):
+    """Every name read by the roots or by a definition they reach."""
+    seen, todo, names = set(), list(roots), set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        read = _names(defs[name])
+        names |= read
+        todo += [n for n in read if n in defs]
+    return names
+
+
+def test_numeric_route_reads_no_closed_formula():
+    defs = definitions(p.read_text() for p in sorted(SRC.glob("*.py")))
+    assert set(NUMERIC) <= set(defs)
+    assert CLOSED <= set(defs)
+    assert reached(NUMERIC, defs) & CLOSED == set()
+
+
+def test_checker_follows_reads():
+    defs = definitions(
+        [
+            "def a():\n    return b\n",
+            "def b():\n    return m.jacobi_sum(1)\n\ndef c():\n    return a\n",
+            "def d(x):\n    return x\n",
+        ]
+    )
+    assert "jacobi_sum" in reached(["c"], defs)
+    assert "jacobi_sum" not in reached(["d"], defs)

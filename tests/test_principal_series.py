@@ -16,6 +16,7 @@ from wittcycle.principal_series import (
     PSModule,
     eigen_check,
     exchange_constant,
+    exchange_vectors,
     exponent_shift,
     h_component_characters,
     h_components,
@@ -26,6 +27,7 @@ from wittcycle.principal_series import (
 
 P7 = Params.make(7, 1)
 P7F2 = Params.make(7, 2)
+P11F2 = Params.make(11, 2)
 
 
 def test_dimension_and_multiplicities():
@@ -196,3 +198,24 @@ def test_exchange_validates_index_range():
     for bad in (0, 48, -3):
         with pytest.raises(ValueError):
             exchange_constant(psi_s, bad, P7F2)
+
+
+@pytest.mark.parametrize("params", [P7, P7F2, P11F2], ids=["q7", "q49", "q121"])
+def test_chart_vectors_match_generic_action(params):
+    # the U- chart route against term-by-term ps_act, at the working N and
+    # mod p; indices include 0, q-1 and the degenerate target i = m1 - m2
+    rng = random.Random(params.q)
+    q = params.q
+    for work in (params, params.residue):
+        for _ in range(3):
+            chi = make_char(rng.randrange(q - 1), rng.randrange(q - 1), work)
+            module = PSModule(chi, work)
+            phi = phi_vector(module)
+            s0phi = ps_act(module, s_operator(0, "S", work), phi)
+            for i in sorted({0, q - 1, chi.a_exponent(), rng.randrange(1, q - 1)}):
+                want = (
+                    s0phi,
+                    ps_act(module, s_operator(i, "S", work), s0phi),
+                    ps_act(module, s_operator(q - 1 - i, "S_plus", work), phi),
+                )
+                assert exchange_vectors(module, i) == want, (work.N, chi, i)
