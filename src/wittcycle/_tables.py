@@ -3,9 +3,19 @@
 Hot loops (group-algebra convolution, module actions, Jacobi summation) work
 with integer codes instead of coefficient tuples: the code of an element is
 sum(c_i * p^i), so code 0 is 0 and code 1 is 1.  Every nonzero code is a
-unit.  Tables depend only on (p, f, modulus) except for the Teichmuller
-column, which also depends on N; the two caches are split so precision
-escalation never rebuilds the field tables.
+unit, a power g^k of the generator.
+
+The production tables are O(q): exp[k] is the code of g^k, dlog inverts it
+(dlog[0] = -1), inv and neg are indexed by code, and the Zech column
+zech[k] = dlog(1 - g^k) (zech[0] = -1, since 1 - g^0 = 0) gives 1 - alpha
+as an exponent.  A product is an exponent sum, so Jacobi sums and the
+monomial maps of the principal series need nothing else.  The q x q arrays
+mul and add serve only the GL2 oracle (gl2_mul, gl2_inv, ga_multiply, the
+generic ps_act); they are built on first read.
+
+Tables depend only on (p, f, modulus) except for the Teichmuller column,
+which also depends on N; the two caches are split so precision escalation
+never rebuilds the field tables.
 """
 
 from array import array
@@ -13,16 +23,16 @@ from functools import lru_cache
 
 from wittcycle import padic
 
-# Largest q whose tables are built.  mul and add are two q x q arrays of
-# 8-byte codes, 16 q^2 bytes: 92 MB at q = 2401 = 7^4 and at most 256 MiB
-# below this limit.
+# Largest q whose tables are built.  The O(q) tables would allow far more;
+# the limit bounds the oracle's mul and add, two q x q arrays of 8-byte
+# codes, 16 q^2 bytes: 92 MB at q = 2401 = 7^4 and at most 256 MiB below it.
 MAX_TABLE_Q = 4096
 
 
 class FieldTables:
     __slots__ = (
-        "p", "f", "q", "params1", "elems", "code_of", "mul", "add",
-        "neg", "inv", "dlog", "exp", "generator",
+        "p", "f", "q", "residue", "elems", "code_of", "neg", "inv", "dlog",
+        "exp", "zech", "generator", "_mul", "_add",
     )
 
     def __init__(self, p, f, modulus):
@@ -32,51 +42,35 @@ class FieldTables:
         if q > MAX_TABLE_Q:
             raise ValueError("q = %d is above %d, the largest field with tables" % (q, MAX_TABLE_Q))
         self.q = q
-        params1 = padic.Params(p, f, 1, modulus)
-        self.params1 = params1
+        residue = padic.Params(p, f, 1, modulus)
+        self.residue = residue
         elems = [padic.digits(n, p, f) for n in range(q)]
         self.elems = elems
-        self.code_of = {e: i for i, e in enumerate(elems)}
-        self.generator = self._find_generator()
+        self.code_of = code_of = {e: i for i, e in enumerate(elems)}
+        self.generator = g = self._find_generator()
         m = q - 1
         exp = array("l", [1] * m)
-        g = self.generator
         cur = 1
         for k in range(1, m):
-            cur = self.code_of[padic.witt_mul(elems[cur], elems[g], params1)]
+            cur = code_of[padic.witt_mul(elems[cur], elems[g], residue)]
             exp[k] = cur
         self.exp = exp
         dlog = array("l", [-1] * q)
         for k in range(m):
             dlog[exp[k]] = k
         self.dlog = dlog
-        exp2 = list(exp) + list(exp)
-        dl = list(dlog)
-        mul = array("l", [])
-        zero_row = [0] * q
-        for a in range(q):
-            if a == 0:
-                mul.extend(zero_row)
-            else:
-                da = dl[a]
-                mul.extend([0] + [exp2[da + dl[b]] for b in range(1, q)])
-        self.mul = mul
-        neg = array("l", [0] * q)
-        for a in range(q):
-            neg[a] = self.code_of[padic.witt_neg(elems[a], params1)]
-        self.neg = neg
-        add = array("l", [])
-        for a in range(q):
-            ea = elems[a]
-            add.extend(
-                [self.code_of[padic.witt_add(ea, elems[b], params1)] for b in range(q)]
-            )
-        self.add = add
+        self.neg = array("l", [code_of[padic.witt_neg(e, residue)] for e in elems])
         inv = array("l", [0] * q)
-        inv[1 % q] = 1
-        for a in range(2, q):
-            inv[a] = exp[(m - dl[a]) % m]
+        for a in range(1, q):
+            inv[a] = exp[-dlog[a] % m]
         self.inv = inv
+        zech = array("l", [-1] * m)
+        one = elems[1]
+        for k in range(1, m):
+            zech[k] = dlog[code_of[padic.witt_sub(one, elems[exp[k]], residue)]]
+        self.zech = zech
+        self._mul = None
+        self._add = None
 
     def _find_generator(self):
         q, m = self.q, self.q - 1
@@ -85,7 +79,7 @@ class FieldTables:
             cur = g
             while cur != 1:
                 cur = self.code_of[
-                    padic.witt_mul(self.elems[cur], self.elems[g], self.params1)
+                    padic.witt_mul(self.elems[cur], self.elems[g], self.residue)
                 ]
                 order += 1
                 if order > m:
@@ -95,6 +89,29 @@ class FieldTables:
         if q == 2:
             return 1
         raise ArithmeticError("no generator found")
+
+    @property
+    def mul(self):
+        """The q x q product table, mul[a * q + b], built on first read."""
+        if self._mul is None:
+            q, exp2, dl = self.q, list(self.exp) * 2, list(self.dlog)
+            mul = array("l", [0] * q)
+            for a in range(1, q):
+                da = dl[a]
+                mul.extend([0] + [exp2[da + dl[b]] for b in range(1, q)])
+            self._mul = mul
+        return self._mul
+
+    @property
+    def add(self):
+        """The q x q sum table, add[a * q + b], built on first read."""
+        if self._add is None:
+            elems, code_of, residue = self.elems, self.code_of, self.residue
+            add = array("l", [])
+            for ea in elems:
+                add.extend([code_of[padic.witt_add(ea, eb, residue)] for eb in elems])
+            self._add = add
+        return self._add
 
     def pow_code(self, a, e):
         """Code of elems[a] ** e (e may be any integer; a must be nonzero for e < 0)."""
@@ -106,9 +123,6 @@ class FieldTables:
             return 0
         m = self.q - 1
         return self.exp[(self.dlog[a] * e) % m]
-
-    def sub(self, a, b):
-        return self.add[a * self.q + self.neg[b]]
 
 
 @lru_cache(maxsize=None)

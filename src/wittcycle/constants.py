@@ -82,20 +82,6 @@ def up_product(cycle, rho):
     return UpMonomial(sign, p_power, alpha_exp, alpha_prime_exp)
 
 
-def gauge_factor(J1, J2, f):
-    """Per-position gauge symbols for a pair of subsets."""
-    out = []
-    for j in range(f):
-        pos = f - 1 - j
-        if pos in J1 and pos not in J2:
-            out.append("X_%d" % j)
-        elif pos in J2 and pos not in J1:
-            out.append("Y_%d" % j)
-        else:
-            out.append("1")
-    return tuple(out)
-
-
 def beta_by_bruteforce(cycle, params):
     """Contract the cycle's step-exponent chain and audit its valuation.
 

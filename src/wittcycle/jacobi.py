@@ -7,15 +7,33 @@ in [0, q-1] and are never reduced silently: the 'standard' convention reads
 alpha = 1 term exactly when b = 0), while 'J0' reads [0]^0 = 0 and drops
 both boundary terms, making the result depend on a, b mod q-1 only.
 
+The sum is indexed by Zech logarithms: alpha = g^k runs over k in [1, q-2],
+1 - alpha = g^zech[k], so each term is the Teichmuller power
+[g]^((a k + b zech[k]) mod (q-1)).  The q-2 terms are still added one by
+one, as integers packed with one slot per Witt component, each slot wide
+enough for (q-2)(p^N-1) so that no slot carries into the next.
+
 stickelberger_data predicts the valuation and the leading digit of the sum
 from base-p digit counting, without summing anything; the two routes are
 checked against each other in the tests.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from wittcycle import _tables
 from wittcycle.padic import digits, witt_one, witt_add
+
+
+@lru_cache(maxsize=None)
+def _packed_powers(params):
+    """[g]^k for k in [0, q-2], each packed into one integer with a slot of
+    `width` bits per Witt component; and width."""
+    T = _tables.tables_for(params)
+    teich = _tables.teich_by_code(params)
+    width = ((params.q - 2) * (params.pN - 1)).bit_length()
+    packed = [sum(c << (i * width) for i, c in enumerate(teich[code])) for code in T.exp]
+    return packed, width
 
 
 def jacobi_sum(a, b, zero_convention, params):
@@ -27,19 +45,14 @@ def jacobi_sum(a, b, zero_convention, params):
     b = int(b)
     if not (0 <= a <= q - 1 and 0 <= b <= q - 1):
         raise ValueError("exponents must be literal integers in [0, q-1]")
-    T = _tables.tables_for(params)
-    teich = _tables.teich_by_code(params)
-    m = params.pN
-    f = params.f
-    mul, add, neg = T.mul, T.add, T.neg
-    acc = [0] * f
-    for alpha in range(2, q):  # codes 0 and 1 are the boundary elements
-        pa = T.pow_code(alpha, a)
-        pb = T.pow_code(add[q + neg[alpha]], b)  # 1 - alpha
-        t = teich[mul[pa * q + pb]]
-        for i in range(f):
-            acc[i] += t[i]
-    out = tuple(c % m for c in acc)
+    zech = _tables.tables_for(params).zech
+    packed, width = _packed_powers(params)
+    m = q - 1
+    # alpha = g^k over k in [1, q-2] skips the boundary elements 0 and 1
+    acc = sum([packed[(a * k + b * z) % m] for k, z in zip(range(1, m), zech[1:])])
+    mask = (1 << width) - 1
+    pN = params.pN
+    out = tuple(((acc >> (i * width)) & mask) % pN for i in range(params.f))
     if zero_convention == "standard":
         if a == 0:
             out = witt_add(out, witt_one(params), params)

@@ -16,17 +16,19 @@ in F_q, with u-(mu) = (1 0; mu 1), together with label 1, the coset Bw,
 which U- fixes.  e_0 = phi, and each other e_mu is a Teichmuller multiple of
 one basis vector other than label 1.  In the chart S+_i acts as an additive
 convolution over F_q (group_algebra.u_convolve) and w = GL2_W acts
-monomially, so S_i = w S+_i costs one convolution and O(q) work.
-exchange_vectors, the production route of exchange_constant and of the
-degenerate-step check, works there; ps_act, the action of any group-algebra
-element term by term, is the oracle it is checked against, and still serves
-single group elements.
+monomially, so S_i = w S+_i costs one convolution and O(q) work.  The chart
+(_u_chart) and the w-map (_w_map) are read off the Bruhat decomposition in
+closed form; they touch only the O(q) field tables (inv, neg, dlog, exp) and
+the Teichmuller column.  exchange_vectors, the production route of
+exchange_constant and of the degenerate-step check, works there; ps_act, the
+action of any group element or group-algebra element term by term through
+the q x q oracle tables, is the oracle it is checked against.
 """
 
 from dataclasses import dataclass
 
 from wittcycle import _tables
-from wittcycle.group_algebra import GL2_W, gl2_inv, s_operator, scale_vector, u_convolve
+from wittcycle.group_algebra import gl2_inv, s_operator, scale_vector, u_convolve
 from wittcycle.padic import (
     MAX_ESCALATIONS,
     PRECISION_INF,
@@ -36,7 +38,6 @@ from wittcycle.padic import (
     witt_divide_exact,
     witt_mul,
     witt_one,
-    witt_reduce,
     witt_zero,
 )
 
@@ -202,18 +203,48 @@ def eigen_check(module, vec, xi):
 
 def _u_chart(module):
     """For each code mu, the label and Teichmuller scalar s with
-    u-(mu) phi = s e_label, and 1/s, read off q one-element actions."""
+    u-(mu) phi = s e_label, and 1/s.
+
+    For mu != 0, (1 0; -mu 1) = b w n(-1/mu) with b upper triangular of
+    diagonal (1/mu, -mu), so u-(mu) phi = chi(b)^(-1) e_(1 + code(-1/mu)) and
+    chi(b)^(-1) = (-1)^m2 [mu]^(m1-m2): a monomial in mu, read off dlog.
+    """
     params = module.params
     T = _tables.tables_for(params)
     teich = _tables.teich_by_code(params)
-    phi = phi_vector(module)
-    label, scalar, inverse = [], [], []
-    for mu in range(params.q):
-        ((lbl, s),) = ps_act(module, (1, 0, mu, 1), phi).items()
-        label.append(lbl)
-        scalar.append(s)
-        inverse.append(teich[T.inv[T.code_of[witt_reduce(s, params)]]])
+    m = params.q - 1
+    d = module.chi.m1 - module.chi.m2
+    sign = T.dlog[T.neg[1]] * module.chi.m2
+    label, scalar, inverse = [0], [teich[1]], [teich[1]]
+    for mu in range(1, params.q):
+        k = (T.dlog[mu] * d + sign) % m
+        label.append(1 + T.neg[T.inv[mu]])
+        scalar.append(teich[T.exp[k]])
+        inverse.append(teich[T.exp[-k % m]])
     return label, scalar, inverse
+
+
+def _w_map(module, v):
+    """w v for w = GL2_W, as a monomial map: it swaps labels 0 and 1, and
+    for lam != 0, (1 0; lam 1) = b w n(1/lam) with b upper triangular of
+    diagonal (-1/lam, lam), so e_(1 + lam) goes to (-1)^m1 [lam]^(m1-m2) e_(1 + 1/lam)."""
+    params = module.params
+    T = _tables.tables_for(params)
+    teich = _tables.teich_by_code(params)
+    m = params.q - 1
+    d = module.chi.m1 - module.chi.m2
+    sign = T.dlog[T.neg[1]] * module.chi.m1
+    out = {}
+    for lbl, c in v.items():
+        if lbl < 2:
+            lbl = 1 - lbl
+        else:
+            lam = lbl - 1
+            lbl = 1 + T.inv[lam]
+            c = witt_mul(c, teich[T.exp[(T.dlog[lam] * d + sign) % m]], params)
+        if any(c):
+            out[lbl] = c
+    return out
 
 
 def _chart_to_labels(chart, x, params):
@@ -248,7 +279,7 @@ def exchange_vectors(module, i_psi):
     """S_0 phi, S_{i_psi} S_0 phi and S+_{q-1-i_psi} phi, in the U- chart.
 
     S_i = w S+_i, and S+_i phi is the kernel of S+_i moved to labels, so the
-    three vectors cost one u_convolve and two O(q) actions of w.
+    three vectors cost one u_convolve and two O(q) monomial maps for w.
     """
     params = module.params
     chart = _u_chart(module)
@@ -256,8 +287,8 @@ def exchange_vectors(module, i_psi):
     def s_plus_phi(i):
         return _chart_to_labels(chart, s_operator(i, "S_plus", params), params)
 
-    s0phi = ps_act(module, GL2_W, s_plus_phi(0))
-    u = ps_act(module, GL2_W, _chart_s_plus(chart, s0phi, i_psi, params))
+    s0phi = _w_map(module, s_plus_phi(0))
+    u = _w_map(module, _chart_s_plus(chart, s0phi, i_psi, params))
     return s0phi, u, s_plus_phi(params.q - 1 - i_psi)
 
 

@@ -146,24 +146,6 @@ def fw_apply(fw, j, x):
     return eps * x + c
 
 
-def fw_compose(outer, inner):
-    """Componentwise affine composition outer(inner(x))."""
-    out = []
-    for (e1, c1), (e2, c2) in zip(outer, inner):
-        out.append((e1 * e2, e1 * c2 + c1))
-    return tuple(out)
-
-
-def fw_invert(fw):
-    # eps^2 = 1, so the inverse of eps*x + c is eps*x - eps*c
-    return tuple((eps, -eps * c) for eps, c in fw)
-
-
-def negative_set(fw):
-    """Embeddings where the leading coefficient is -1."""
-    return frozenset(j for j, (eps, _) in enumerate(fw) if eps < 0)
-
-
 def e_eval(fw, r, params):
     """The determinant exponent of the weight fw evaluated at r, exact in Z."""
     p, f, q = params.p, params.f, params.q
@@ -203,13 +185,6 @@ def weight_char(sigma, params):
 
 def char_of_subset(J, rho):
     return weight_char(serre_weight_of(formal_weight_of(J, rho), rho), rho.params)
-
-
-def transition_weight(J, rho):
-    """The affine map mu with mu(lambda_J) = lambda_{delta J}, componentwise."""
-    lam = formal_weight_of(J, rho)
-    dl = formal_weight_of(delta(J, rho.kind, rho.params.f), rho)
-    return fw_compose(dl, fw_invert(lam))
 
 
 def iplus_of_step(J, rho):
@@ -395,11 +370,6 @@ def sigma_J_table(J, rho):
         if built != sigma:
             raise ArithmeticError("component table disagrees with the formal weight")
     return sigma
-
-
-def weight_set(rho):
-    """The full multiplicity-free weight list, one weight per subset."""
-    return {J: sigma_J_table(J, rho) for J in subsets_of(rho.params.f)}
 
 
 @dataclass(frozen=True)

@@ -73,11 +73,11 @@ from wittcycle.weights import (
     fw_apply,
     iplus_of_step,
     make_rho,
-    negative_set,
     rotate_cycle,
     subsets_of,
-    transition_weight,
 )
+
+from test_weights import negative_set, transition_weight
 
 
 @contextmanager

@@ -2,7 +2,8 @@ import sys
 
 import pytest
 
-from wittcycle import principal_series
+from wittcycle import _tables, principal_series
+from wittcycle.cli import main
 from wittcycle.group_algebra import contraction_lead
 from wittcycle.padic import Params, witt_from_int, witt_mul
 from wittcycle.constants import (
@@ -11,7 +12,6 @@ from wittcycle.constants import (
     breuil_constant,
     ctilde_closed,
     ctilde_product,
-    gauge_factor,
     step_lead_formula,
     theorem_form,
     up_product,
@@ -75,6 +75,20 @@ def test_up_product_rejects_malformed_cycles():
     with pytest.raises(ArithmeticError):
         # k|J0|/f not an integer at f = 2
         up_product(_fake_cycle(1, 2, REDUCIBLE, size0=1), RHO_RED_F2)
+
+
+def gauge_factor(J1, J2, f):
+    """Per-position gauge symbols for a pair of subsets."""
+    out = []
+    for j in range(f):
+        pos = f - 1 - j
+        if pos in J1 and pos not in J2:
+            out.append("X_%d" % j)
+        elif pos in J2 and pos not in J1:
+            out.append("Y_%d" % j)
+        else:
+            out.append("1")
+    return tuple(out)
 
 
 def test_gauge_factor_frozen():
@@ -238,21 +252,45 @@ def test_bad_mode_rejected():
         breuil_constant(cyc, RHO_IRR_F1, "fast", P7)
 
 
-def test_stepwise_constants_act_by_single_elements(monkeypatch):
-    # the exchange constants run in the U- chart: every ps_act call acts by
-    # one group element, never by an O(q^2) group-algebra sum
+def _oracle_reads(monkeypatch):
+    """A list that records every generic ps_act call and every read of the
+    q x q oracle tables FieldTables.mul and .add, wherever they happen."""
+    reads = []
+    for name in ("mul", "add"):
+        table = getattr(_tables.FieldTables, name)
+
+        def watched(T, name=name, table=table):
+            reads.append(name)
+            return table.fget(T)
+
+        monkeypatch.setattr(_tables.FieldTables, name, property(watched))
     generic = principal_series.ps_act
-    sizes = []
 
     def counting(module, x, v):
-        sizes.append(1 if isinstance(x, tuple) else len(x))
+        reads.append("ps_act")
         return generic(module, x, v)
 
     for name, mod in list(sys.modules.items()):
         if name.startswith("wittcycle") and getattr(mod, "ps_act", None) is generic:
             monkeypatch.setattr(mod, "ps_act", counting)
+    return reads
+
+
+def test_stepwise_constants_act_by_single_elements(monkeypatch):
+    # the exchange constants run in the U- chart, whose chart and w-map are
+    # O(q) monomial maps: stepwise constants call no generic ps_act and read
+    # no q x q table, so those tables are never built on this route
+    reads = _oracle_reads(monkeypatch)
     for rho in (RHO_IRR_F2, RHO_RED_F2):
         for cyc in cycles_of(rho):
             rep = breuil_constant(cyc, rho, "stepwise", P7F2)
             assert rep.g_stepwise == rep.g_closed
-    assert sizes and max(sizes) == 1
+    assert reads == []
+
+
+def test_stickelberger_scan_reads_no_quadratic_table(monkeypatch, tmp_path):
+    reads = _oracle_reads(monkeypatch)
+    argv = ["stickelberger-scan", "--p", "7", "--f", "2", "--jobs", "1", "--json",
+            "--out", str(tmp_path / "scan.json")]
+    assert main(argv) == 0
+    assert reads == []

@@ -230,7 +230,7 @@ def test_u_convolve_drops_sums_that_cancel(q, coset, seed):
         lam2 = T.add[lam * q + 1]
     # (c u(lam) + c u(lam2)) (a u(mu) - a u(mu2)) with lam + mu2 = lam2 + mu:
     # the two middle terms cancel
-    mu2 = T.add[T.sub(lam2, lam) * q + mu]
+    mu2 = T.add[T.add[lam2 * q + T.neg[lam]] * q + mu]
     c = tuple(rng.randrange(1, params.pN) for _ in range(params.f))
     a = (rng.randrange(1, params.p),) + (0,) * (params.f - 1)  # a unit
     x = {_key(coset, lam): c, _key(coset, lam2): c}

@@ -25,6 +25,7 @@ NUMERIC = [
     "_exchange_once",
     "exchange_vectors",
     "_u_chart",
+    "_w_map",
     "_chart_s_plus",
     "_chart_to_labels",
     "degenerate_step_check",

@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
+from wittcycle._tables import tables_for, teich_by_code
 from wittcycle.jacobi import factorial_mod_p, jacobi_sum, stickelberger_data
 from wittcycle.padic import (
     Params,
     valuation_and_unit,
+    witt_add,
     witt_neg,
     witt_one,
 )
@@ -126,3 +130,67 @@ def test_factorial_helper_pairing():
         for x in range(p - 1):
             prod = (factorial_mod_p(x, p) * factorial_mod_p(p - 1 - x, p)) % p
             assert prod == (-1) ** (x + 1) % p
+
+
+def _oracle_accumulator(a, b, params):
+    """Sum over alpha != 0, 1 of [alpha]^a [1-alpha]^b, componentwise and
+    unreduced, through pow_code and the q x q mul and add tables."""
+    T = tables_for(params)
+    teich = teich_by_code(params)
+    q = params.q
+    mul, add, neg = T.mul, T.add, T.neg
+    acc = [0] * params.f
+    for alpha in range(2, q):
+        pa = T.pow_code(alpha, a)
+        pb = T.pow_code(add[q + neg[alpha]], b)  # 1 - alpha
+        t = teich[mul[pa * q + pb]]
+        for i in range(params.f):
+            acc[i] += t[i]
+    return acc
+
+
+def _oracle_jacobi(a, b, zero_convention, params):
+    out = tuple(c % params.pN for c in _oracle_accumulator(a, b, params))
+    if zero_convention == "standard":
+        for e in (a, b):
+            if e == 0:
+                out = witt_add(out, witt_one(params), params)
+    return out
+
+
+def _check_pairs(pairs, conventions, params):
+    for a, b in pairs:
+        for conv in conventions:
+            assert jacobi_sum(a, b, conv, params) == _oracle_jacobi(a, b, conv, params), (a, b, conv)
+
+
+def test_zech_sum_matches_table_oracle_q7():
+    pairs = [(a, b) for a in range(7) for b in range(7)]
+    _check_pairs(pairs, ("standard", "J0"), P71)
+
+
+def test_zech_sum_matches_table_oracle_q49():
+    pairs = [(a, b) for a in range(49) for b in range(49)]
+    _check_pairs(pairs, ("J0",), P72)
+
+
+def test_zech_sum_matches_table_oracle_q121():
+    P = Params.make(11, 2)
+    q = P.q
+    rng = random.Random(121)
+    edge = (0, 1, q - 2, q - 1)
+    pairs = [(a, b) for a in edge for b in edge]
+    pairs += [(rng.randrange(q), rng.randrange(q)) for _ in range(150)]
+    pairs += [(a, rng.randrange(q)) for a in edge] + [(rng.randrange(q), b) for b in edge]
+    _check_pairs(pairs, ("standard", "J0"), P)
+
+
+def test_zech_sum_matches_table_oracle_at_slot_bound():
+    # at N = 40 a term is a 113-bit Teichmuller lift; the packed slot is as
+    # wide as (q-2)(p^N-1) needs, and some sum fills its top bit
+    P = Params.make(7, 1, N=40)
+    pairs = [(a, b) for a in range(7) for b in range(7)]
+    _check_pairs(pairs, ("standard", "J0"), P)
+    width = ((P.q - 2) * (P.pN - 1)).bit_length()
+    top = max(_oracle_accumulator(a, b, P)[0] for a, b in pairs)
+    assert top.bit_length() == width

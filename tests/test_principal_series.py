@@ -3,7 +3,7 @@ import random
 import pytest
 
 from wittcycle import _tables
-from wittcycle.group_algebra import gl2_mul, s_operator, scale_vector
+from wittcycle.group_algebra import GL2_W, gl2_mul, s_operator, scale_vector
 from wittcycle.jacobi import jacobi_sum
 from wittcycle.padic import (
     Params,
@@ -13,6 +13,7 @@ from wittcycle.padic import (
 )
 from wittcycle.principal_series import (
     ExchangeError,
+    _w_map,
     PSModule,
     eigen_check,
     exchange_constant,
@@ -205,6 +206,7 @@ def test_chart_vectors_match_generic_action(params):
     # the U- chart route against term-by-term ps_act, at the working N and
     # mod p; indices include 0, q-1 and the degenerate target i = m1 - m2
     rng = random.Random(params.q)
+    vrng = random.Random(params.q + 1)
     q = params.q
     for work in (params, params.residue):
         for _ in range(3):
@@ -219,3 +221,10 @@ def test_chart_vectors_match_generic_action(params):
                     ps_act(module, s_operator(q - 1 - i, "S_plus", work), phi),
                 )
                 assert exchange_vectors(module, i) == want, (work.N, chi, i)
+            # the monomial w-map on a random vector, with one zero coordinate
+            v = {
+                lbl: tuple(vrng.randrange(work.pN) for _ in range(work.f))
+                for lbl in vrng.sample(range(q + 1), (q + 1) // 2)
+            }
+            v[vrng.choice(list(v))] = (0,) * work.f
+            assert _w_map(module, v) == ps_act(module, GL2_W, v), (work.N, chi)

@@ -19,15 +19,12 @@ from wittcycle.weights import (
     iplus_of_step,
     jh_intersect,
     make_rho,
-    negative_set,
     rotate_cycle,
     serre_weight_of,
     sigma_J_table,
     subsets_of,
     survey_orbits,
-    transition_weight,
     weight_char,
-    weight_set,
 )
 
 P7 = Params.make(7, 1)
@@ -37,6 +34,25 @@ P11F2 = Params.make(11, 2)
 
 RHO_IRR_F1 = make_rho("irr", (2,), 1, P7)
 RHO_RED_F1 = make_rho("red", (2,), 1, P7, alpha_prime=1)
+
+
+def negative_set(fw):
+    """Embeddings where the leading coefficient is -1."""
+    return frozenset(j for j, (eps, _) in enumerate(fw) if eps < 0)
+
+
+def transition_weight(J, rho):
+    """The affine map mu with mu(lambda_J) = lambda_{delta J}, componentwise:
+    lambda_{delta J} after the inverse of lambda_J, where eps^2 = 1 makes the
+    inverse of eps*x + c the map eps*x - eps*c."""
+    lam = formal_weight_of(J, rho)
+    dl = formal_weight_of(delta(J, rho.kind, rho.params.f), rho)
+    return tuple((e1 * e2, c1 - e1 * e2 * c2) for (e1, c1), (e2, c2) in zip(dl, lam))
+
+
+def weight_set(rho):
+    """The full multiplicity-free weight list, one weight per subset."""
+    return {J: sigma_J_table(J, rho) for J in subsets_of(rho.params.f)}
 
 
 def _rho(kind, params, r=None):
