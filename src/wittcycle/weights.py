@@ -59,25 +59,29 @@ def make_rho(kind, r, alpha, params, alpha_prime=None):
     for x in r:
         if not 1 < x < p - 4:
             raise ValueError("genericity requires 1 < r_j < p-4")
-    if isinstance(alpha, int):
-        alpha = witt_from_int(alpha, params.residue)
-    alpha = tuple(alpha)
-    if not any(alpha):
-        raise ValueError("alpha must be a unit")
+    alpha = _residue_unit(alpha, "alpha", params)
     if kind == IRREDUCIBLE:
         forced = witt_from_int(-1, params.residue)
-        if alpha_prime is not None and tuple(alpha_prime) != forced:
+        if alpha_prime is not None and _residue_unit(alpha_prime, "alpha_prime", params) != forced:
             raise ValueError("alpha_prime is fixed to -1 in the irreducible case")
         alpha_prime = forced
     else:
         if alpha_prime is None:
             raise ValueError("split reducible needs alpha_prime")
-        if isinstance(alpha_prime, int):
-            alpha_prime = witt_from_int(alpha_prime, params.residue)
-        alpha_prime = tuple(alpha_prime)
-        if not any(alpha_prime):
-            raise ValueError("alpha_prime must be a unit")
+        alpha_prime = _residue_unit(alpha_prime, "alpha_prime", params)
     return RhoBar(kind, r, alpha, alpha_prime, params)
+
+
+def _residue_unit(x, name, params):
+    """An int, or a tuple of one digit per embedding, as a unit of F_q."""
+    if isinstance(x, int):
+        x = witt_from_int(x, params.residue)
+    x = tuple(int(c) % params.p for c in x)
+    if len(x) != params.f:
+        raise ValueError("%s must have one digit per embedding" % name)
+    if not any(x):
+        raise ValueError("%s must be a unit" % name)
+    return x
 
 
 def subsets_of(f):

@@ -111,6 +111,29 @@ def test_config_error_exit_2(capsys):
     assert "genericity" in capsys.readouterr().err
 
 
+def test_irreducible_accepts_alpha_prime_minus_one(capsys):
+    # 6 = -1 in F_7, the one value the irreducible case allows
+    argv = ["constant", "--p", "7", "--f", "1", "--kind", "irr", "--r", "2", "--alpha", "1"]
+    assert main(argv + ["--json"]) == 0
+    plain = capsys.readouterr().out
+    assert main(argv + ["--alpha-prime", "6", "--json"]) == 0
+    assert capsys.readouterr().out == plain
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        ("--f 1 --r 2 --alpha 1 --alpha-prime 1", "fixed to -1"),
+        ("--f 2 --r 2,2 --alpha 7,0 --mode closed", "alpha must be a unit"),
+        ("--f 2 --r 2,2 --alpha 1,2,3", "one digit per embedding"),
+    ],
+    ids=["alpha-prime-not-minus-one", "alpha-zero-mod-p", "alpha-too-long"],
+)
+def test_bad_unit_exit_2(capsys, argv, err):
+    assert main(["constant", "--p", "7", "--kind", "irr"] + argv.split()) == 2
+    assert err in capsys.readouterr().err
+
+
 def test_oversized_field_exit_2(monkeypatch, capsys):
     monkeypatch.setattr(padic, "MAX_Q", 100)
     assert main(["field-info", "--p", "11", "--f", "2"]) == 2

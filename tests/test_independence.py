@@ -3,7 +3,10 @@
 Exchange constants are multiplied out in the U- chart and only afterwards
 compared with the Jacobi-sum and digit-count formulas.  If a function of the
 numeric route read one of those formulas, directly or through any package
-function it reads, the two routes would stop being independent.  Walks
+function it reads, the two routes would stop being independent.  In the same
+way stickelberger-scan checks the Teichmuller sum jacobi_sum against the
+digit counting of stickelberger_data, so the sum must not read the digit
+counting either.  Walks
 src/wittcycle/*.py with ast: from each root, every top-level def or class of
 the package whose name a reached body reads is followed in turn, and the
 names read along the way must miss the closed route.
@@ -31,6 +34,17 @@ NUMERIC = [
     "degenerate_step_check",
     "_contract_once",
 ]
+
+JACOBI = [
+    "jacobi_sum",
+    "_packed_powers",
+    "_exponent_lanes",
+    "_lanes_mod",
+    "_lane_divisor",
+    "_pack_lanes",
+    "_unpack_lanes",
+]
+DIGIT_COUNTING = {"stickelberger_data", "factorial_mod_p"}
 
 
 def definitions(sources):
@@ -69,6 +83,13 @@ def test_numeric_route_reads_no_closed_formula():
     assert set(NUMERIC) <= set(defs)
     assert CLOSED <= set(defs)
     assert reached(NUMERIC, defs) & CLOSED == set()
+
+
+def test_jacobi_sum_reads_no_digit_counting():
+    defs = definitions(p.read_text() for p in sorted(SRC.glob("*.py")))
+    assert set(JACOBI) <= set(defs)
+    assert DIGIT_COUNTING <= set(defs)
+    assert reached(JACOBI, defs) & DIGIT_COUNTING == set()
 
 
 def test_checker_follows_reads():

@@ -2,8 +2,17 @@ import random
 
 import pytest
 
-from wittcycle._tables import tables_for, teich_by_code
-from wittcycle.jacobi import factorial_mod_p, jacobi_sum, stickelberger_data
+from wittcycle._tables import MAX_TABLE_Q, tables_for, teich_by_code
+from wittcycle.jacobi import (
+    _lane_divisor,
+    _lanes_mod,
+    _pack_lanes,
+    _packed_powers,
+    _unpack_lanes,
+    factorial_mod_p,
+    jacobi_sum,
+    stickelberger_data,
+)
 from wittcycle.padic import (
     Params,
     valuation_and_unit,
@@ -149,8 +158,8 @@ def _oracle_accumulator(a, b, params):
     return acc
 
 
-def _oracle_jacobi(a, b, zero_convention, params):
-    out = tuple(c % params.pN for c in _oracle_accumulator(a, b, params))
+def _oracle_jacobi(a, b, zero_convention, params, accumulator=_oracle_accumulator):
+    out = tuple(c % params.pN for c in accumulator(a, b, params))
     if zero_convention == "standard":
         for e in (a, b):
             if e == 0:
@@ -194,3 +203,58 @@ def test_zech_sum_matches_table_oracle_at_slot_bound():
     width = ((P.q - 2) * (P.pN - 1)).bit_length()
     top = max(_oracle_accumulator(a, b, P)[0] for a, b in pairs)
     assert top.bit_length() == width
+
+
+def _reference_accumulator(a, b, params):
+    """The Zech-indexed sum with one Python expression per exponent, the
+    reference for jacobi_sum's lane pass; componentwise and unreduced."""
+    m = params.q - 1
+    zech = tables_for(params).zech
+    packed, width = _packed_powers(params)
+    acc = sum([packed[(a * k + b * z) % m] for k, z in zip(range(1, m), zech[1:])])
+    return [(acc >> (i * width)) & ((1 << width) - 1) for i in range(params.f)]
+
+
+@pytest.mark.parametrize("p, f", [(11, 3), (7, 4)], ids=["q1331", "q2401"])
+def test_lane_pass_matches_reference_sum(p, f):
+    P = Params.make(p, f)
+    q = P.q
+    rng = random.Random(q)
+    edge = (0, 1, q - 2, q - 1)
+    pairs = [(a, b) for a in edge for b in edge]
+    pairs += [(a, rng.randrange(q)) for a in edge] + [(rng.randrange(q), b) for b in edge]
+    pairs += [(rng.randrange(q), rng.randrange(q)) for _ in range(60)]
+    for a, b in pairs:
+        for conv in ("standard", "J0"):
+            want = _oracle_jacobi(a, b, conv, P, _reference_accumulator)
+            assert jacobi_sum(a, b, conv, P) == want, (a, b, conv)
+
+
+def _check_lanes_mod(values, m):
+    n = len(values)
+    got = _unpack_lanes(_lanes_mod(_pack_lanes(values), m, n), n)
+    assert list(got) == [e % m for e in values], m
+
+
+@pytest.mark.parametrize("q", [7, 49])
+def test_lanes_mod_exhaustive(q):
+    m = q - 1
+    _check_lanes_mod(range(2 * m * m), m)
+
+
+def test_lanes_mod_boundaries():
+    # every m = q - 1 up to the largest field with tables, prime power or not
+    for m in range(1, MAX_TABLE_Q):
+        ks = (1, 2, m - 1, m, m + 1, 2 * m - 1)
+        values = [0, m - 1, m, 2 * m * m - 1]
+        values += [e for k in ks for e in (k * m - 1, k * m) if 0 <= e < 2 * m * m]
+        _check_lanes_mod(values, m)
+
+
+def test_lane_products_fit_at_largest_field():
+    m = MAX_TABLE_Q - 1
+    shift, c, _ = _lane_divisor(m, 1)
+    assert (2 * m * m - 1) * c < 1 << 64
+    # the floor (e c) >> shift is exact below 2 m^2: c m - 2^shift < m and
+    # 2 m^3 < 2^shift
+    assert 0 <= c * m - (1 << shift) < m and 2 * m**3 < 1 << shift
