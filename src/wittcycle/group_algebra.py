@@ -24,6 +24,16 @@ any rounding.  The product is unpacked, folded mod p per field digit and
 reduced by the modulus and mod p^N.  This still multiplies out term by
 term, only all terms at once; ga_multiply, the generic GL2 product, stays as
 the oracle the kernel is checked against.
+
+ga_multiply runs through every term pair, its key through the q x q mul and
+add tables, and sums lazily: each coefficient is packed in t as one integer
+(padic.witt_pack), a pair costs one integer product, and the exact sum over
+Z is reduced by the modulus and mod p^N once per output key
+(padic.witt_unpack).  That reduction is a ring homomorphism, so the result
+is the same as reducing every term.  Left and right translation are
+injective, so a key collects at most min(|x|, |y|) pairs, and a
+t-coefficient of one pair's product sums at most f terms below (p^N-1)^2;
+slots of bit_length(min(|x|, |y|) f (p^N-1)^2) bits never carry.
 """
 
 import decimal
@@ -40,11 +50,14 @@ from wittcycle.padic import (
     escalate,
     valuation_and_unit,
     witt_add,
+    witt_fold,
     witt_from_int,
     witt_mul,
     witt_neg,
     witt_one,
+    witt_pack,
     witt_sub,
+    witt_unpack,
     witt_zero,
 )
 
@@ -130,23 +143,29 @@ def s_operator(i, variant, params):
 
 
 def ga_multiply(x, y, params):
-    """Convolution product, computed term by term."""
+    """Convolution product, computed term by term and reduced once per key."""
     T = _tables.tables_for(params)
     q, mul, add = T.q, T.mul, T.add
-    out = {}
+    width = (min(len(x), len(y)) * params.f * (params.pN - 1) ** 2).bit_length()
+    ys = [(h, witt_pack(ch, width, params)) for h, ch in y.items()]
+    acc = {}
     for (a, b, c, d), cg in x.items():
         aq, bq, cq, dq = a * q, b * q, c * q, d * q
-        for (e, f, g2, h2), ch in y.items():
+        cg = witt_pack(cg, width, params)
+        for (e, f, g2, h2), ch in ys:
             key = (
                 add[mul[aq + e] * q + mul[bq + g2]],
                 add[mul[aq + f] * q + mul[bq + h2]],
                 add[mul[cq + e] * q + mul[dq + g2]],
                 add[mul[cq + f] * q + mul[dq + h2]],
             )
-            w = witt_mul(cg, ch, params)
-            prev = out.get(key)
-            out[key] = witt_add(prev, w, params) if prev else w
-    return {k: v for k, v in out.items() if any(v)}
+            acc[key] = acc.get(key, 0) + cg * ch
+    out = {}
+    for key, s in acc.items():
+        w = witt_unpack(s, width, 2 * params.f - 2, params)
+        if any(w):
+            out[key] = w
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -218,7 +237,7 @@ def u_convolve(x, y, params):
         raise ValueError("right operand must lie on U-")
     if not x or not y:
         return {}
-    p, f, pN, mod = params.p, params.f, params.pN, params.modulus
+    p, f, pN = params.p, params.f, params.pN
     T = 2 * f - 1
     offset, target = _u_layout(p, f)
     # a product slot sums at most q*f products of two coefficients < p^N
@@ -244,22 +263,10 @@ def u_convolve(x, y, params):
             acc[t] += v
     out = {}
     for code in range(params.q):
-        c = acc[code * T : code * T + T]
-        for k in range(T - 1, f - 1, -1):
-            t = c[k]
-            if t:
-                base = k - f
-                for i in range(f):
-                    c[base + i] -= t * mod[i]
-        w = tuple(v % pN for v in c[:f])
+        w = witt_fold(acc[code * T : code * T + T], params)
         if any(w):
             out[(1, 0, code, 1) if coset == "1" else (code, 1, 1, 0)] = w
     return out
-
-
-def ga_act_matrix(g, x, params):
-    """Left translate of a group-algebra element by a single group element."""
-    return ga_multiply({g: (1,) + (0,) * (params.f - 1)}, x, params)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,9 @@ both boundary terms, making the result depend on a, b mod q-1 only.
 The sum is indexed by Zech logarithms: alpha = g^k runs over k in [1, q-2],
 1 - alpha = g^zech[k], so each term is the Teichmuller power
 [g]^((a k + b zech[k]) mod (q-1)).  The q-2 terms are still added one by
-one, as integers packed with one slot per Witt component, each slot wide
-enough for (q-2)(p^N-1) so that no slot carries into the next.
+one, as integers packed in t (padic.witt_pack) with one slot per Witt
+component, each slot wide enough for (q-2)(p^N-1) so that no slot carries
+into the next.
 
 The q-2 exponents come from one pass over big integers.  Once per field,
 k and zech[k] are packed into the 64-bit lanes of two integers K and Z;
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from wittcycle import _tables
-from wittcycle.padic import digits, witt_one, witt_add
+from wittcycle.padic import digits, witt_add, witt_one, witt_pack, witt_unpack
 
 
 @lru_cache(maxsize=None)
@@ -44,7 +45,7 @@ def _packed_powers(params):
     T = _tables.tables_for(params)
     teich = _tables.teich_by_code(params)
     width = ((params.q - 2) * (params.pN - 1)).bit_length()
-    packed = [sum(c << (i * width) for i, c in enumerate(teich[code])) for code in T.exp]
+    packed = [witt_pack(teich[code], width, params) for code in T.exp]
     return packed, width
 
 
@@ -102,9 +103,7 @@ def jacobi_sum(a, b, zero_convention, params):
     # lane k-1 of the reduced sum is the exponent of the term at g^k
     exponents = _unpack_lanes(_lanes_mod(a * K + b * Z, q - 1, q - 2), q - 2)
     acc = sum(map(packed.__getitem__, exponents))
-    mask = (1 << width) - 1
-    pN = params.pN
-    out = tuple(((acc >> (i * width)) & mask) % pN for i in range(params.f))
+    out = witt_unpack(acc, width, params.f - 1, params)
     if zero_convention == "standard":
         if a == 0:
             out = witt_add(out, witt_one(params), params)

@@ -249,6 +249,39 @@ def witt_mul(x, y, params):
     return tuple(v % m for v in c[:f])
 
 
+# A Witt tuple packed in t: one integer, coefficient i (reduced mod p^N) in
+# bits [i*width, (i+1)*width).  Integer products and sums of packed tuples are
+# products and sums of polynomials in t, exact as long as no coefficient
+# reaches 2^width; witt_unpack then reduces by the modulus and mod p^N, a ring
+# homomorphism, once for the whole sum.
+
+def witt_pack(x, width, params):
+    """x as one integer with a slot of `width` bits per t-degree."""
+    m = params.pN
+    return sum((c % m) << (i * width) for i, c in enumerate(x))
+
+
+def witt_fold(c, params):
+    """The Witt tuple of the polynomial with integer coefficients c (a list,
+    lowest degree first, at least f of them, overwritten): reduced by the
+    modulus from the top degree down, then mod p^N."""
+    m, f, mod = params.pN, params.f, params.modulus
+    for k in range(len(c) - 1, f - 1, -1):
+        t = c[k] % m
+        if t:
+            base = k - f
+            for i in range(f):
+                c[base + i] -= t * mod[i]
+    return tuple(v % m for v in c[:f])
+
+
+def witt_unpack(packed, width, degree, params):
+    """The Witt tuple of a nonnegative polynomial in t packed with slots of
+    `width` bits, t-degree at most `degree` (at least f - 1)."""
+    mask = (1 << width) - 1
+    return witt_fold([(packed >> (k * width)) & mask for k in range(degree + 1)], params)
+
+
 def witt_pow(x, e, params):
     result = witt_one(params)
     base = x

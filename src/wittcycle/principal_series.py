@@ -23,6 +23,14 @@ the Teichmuller column.  exchange_vectors, the production route of
 exchange_constant and of the degenerate-step check, works there; ps_act, the
 action of any group element or group-algebra element term by term through
 the q x q oracle tables, is the oracle it is checked against.
+
+ps_act sums lazily, like group_algebra.ga_multiply: each term
+c [chi(b)^(-1)] hcoef is a product of three coefficients packed in t
+(padic.witt_pack), and the exact sum over Z is reduced once per label, with
+the fold from t-degree 3f-3 (padic.witt_unpack).  A group element permutes
+the labels, so a label collects at most |x| terms, and a t-coefficient of
+one term sums at most f^2 products below (p^N-1)^3; slots of
+bit_length(|x| f^2 (p^N-1)^3) bits never carry.
 """
 
 from dataclasses import dataclass
@@ -38,6 +46,8 @@ from wittcycle.padic import (
     witt_divide_exact,
     witt_mul,
     witt_one,
+    witt_pack,
+    witt_unpack,
     witt_zero,
 )
 
@@ -109,15 +119,17 @@ def ps_act(module, x, v):
     if isinstance(x, tuple):
         x = {x: witt_one(params)}
     T = _tables.tables_for(params)
-    teich = _tables.teich_by_code(params)
     q, mul, add, neg, inv = T.q, T.mul, T.add, T.neg, T.inv
     m1, m2 = module.chi.m1, module.chi.m2
-    one = witt_one(params)
-    out = {}
+    f = params.f
+    width = (len(x) * f * f * (params.pN - 1) ** 3).bit_length()
+    vs = [(label, witt_pack(c, width, params)) for label, c in v.items()]
+    scalars = [witt_pack(t, width, params) for t in _tables.teich_by_code(params)]
+    acc = {}
     for h, hcoef in x.items():
         e, f2, g2, h2 = gl2_inv(h, params)
-        trivial = hcoef == one
-        for label, c in v.items():
+        hcoef = witt_pack(hcoef, width, params)
+        for label, c in vs:
             if label == 0:
                 m00, m01, m10, m11 = e, f2, g2, h2
             else:
@@ -134,16 +146,13 @@ def ps_act(module, x, v):
                 d1 = mul[neg[det] * q + inv[m10]]
                 d2 = m10
             # chi(borel part)^(-1)
-            scal = teich[mul[T.pow_code(d1, -m1) * q + T.pow_code(d2, -m2)]]
-            w = witt_mul(c, scal, params)
-            if not trivial:
-                w = witt_mul(w, hcoef, params)
-            prev = out.get(lbl)
-            s = witt_add(prev, w, params) if prev else w
-            if any(s):
-                out[lbl] = s
-            elif prev:
-                del out[lbl]
+            scal = scalars[mul[T.pow_code(d1, -m1) * q + T.pow_code(d2, -m2)]]
+            acc[lbl] = acc.get(lbl, 0) + c * scal * hcoef
+    out = {}
+    for lbl, s in acc.items():
+        w = witt_unpack(s, width, 3 * f - 3, params)
+        if any(w):
+            out[lbl] = w
     return out
 
 

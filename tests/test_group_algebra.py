@@ -11,7 +11,6 @@ from wittcycle.group_algebra import (
     ContractionResult,
     check_contract_pre,
     contract_splus,
-    ga_act_matrix,
     ga_add,
     ga_multiply,
     gl2_inv,
@@ -20,10 +19,15 @@ from wittcycle.group_algebra import (
     s_product_closed,
     u_convolve,
 )
-from wittcycle.padic import Params, witt_neg, witt_sub
+from wittcycle.padic import Params, witt_add, witt_mul, witt_neg, witt_sub
 
 P71 = Params.make(7, 1, N=5)
 P72 = Params.make(7, 2)
+
+
+def ga_act_matrix(g, x, params):
+    """Left translate of a group-algebra element by a single group element."""
+    return ga_multiply({g: (1,) + (0,) * (params.f - 1)}, x, params)
 
 
 def _oracle_product(i, j, variant, params):
@@ -314,3 +318,74 @@ def test_u_convolve_reads_coefficients_mod_pN():
     x = {(1, 0, 3, 1): (m + 2, -1), GL2_ID: (-m, 5 * m + 4)}
     y = {(1, 0, 9, 1): (3 * m - 1, 7), (1, 0, 40, 1): (-8, m)}
     assert u_convolve(x, y, P72) == ga_multiply(x, y, P72)
+
+
+# ------------------------------------------------ the packed GL2 oracle
+
+def _ga_multiply_ref(x, y, params):
+    """ga_multiply with one witt_mul and one witt_add per term pair: the
+    reference for its packed sums, reduced once per key."""
+    out = {}
+    for g, cg in x.items():
+        for h, ch in y.items():
+            key = gl2_mul(g, h, params)
+            w = witt_mul(cg, ch, params)
+            prev = out.get(key)
+            out[key] = witt_add(prev, w, params) if prev else w
+    return {k: v for k, v in out.items() if any(v)}
+
+
+def random_gl2(rng, params):
+    while True:
+        g = tuple(rng.randrange(params.q) for _ in range(4))
+        try:
+            gl2_inv(g, params)
+        except ZeroDivisionError:
+            continue
+        return g
+
+
+_ORACLE_FIELDS = pytest.mark.parametrize("params", [P71, P72], ids=["q7", "q49"])
+
+
+@_ORACLE_FIELDS
+@pytest.mark.parametrize("seed", range(3))
+def test_ga_multiply_matches_reference_dense(params, seed):
+    rng = random.Random(seed)
+
+    def coeff():
+        return tuple(rng.randrange(params.pN) for _ in range(params.f))
+
+    x = {random_gl2(rng, params): coeff() for _ in range(60)}
+    y = {random_gl2(rng, params): coeff() for _ in range(60)}
+    assert ga_multiply(x, y, params) == _ga_multiply_ref(x, y, params)
+    # on U- times U- every key collects q pairs
+    x = {(1, 0, lam, 1): coeff() for lam in range(params.q)}
+    y = {(1, 0, lam, 1): coeff() for lam in range(params.q)}
+    assert ga_multiply(x, y, params) == _ga_multiply_ref(x, y, params)
+
+
+@_ORACLE_FIELDS
+def test_ga_multiply_extreme_coefficients(params):
+    # every coefficient p^N - 1 on all of U- on both sides: each key collects
+    # min(|x|, |y|) = q pairs and t-degree f - 1 reaches the slot bound
+    top = (params.pN - 1,) * params.f
+    x = {(1, 0, lam, 1): top for lam in range(params.q)}
+    assert ga_multiply(x, x, params) == _ga_multiply_ref(x, x, params)
+
+
+@_ORACLE_FIELDS
+def test_ga_multiply_reads_coefficients_mod_pN(params):
+    rng = random.Random(params.q)
+    m = params.pN
+
+    def coeff():
+        return tuple(rng.randrange(-3 * m, 3 * m) for _ in range(params.f))
+
+    x = {random_gl2(rng, params): coeff() for _ in range(30)}
+    x.update({(1, 0, lam, 1): coeff() for lam in range(params.q)})
+    y = {(1, 0, lam, 1): coeff() for lam in range(params.q)}
+    y[GL2_W] = (-1,) * params.f
+    got = ga_multiply(x, y, params)
+    assert got == _ga_multiply_ref(x, y, params)
+    assert all(0 <= v < m for c in got.values() for v in c)

@@ -6,10 +6,12 @@ numeric route read one of those formulas, directly or through any package
 function it reads, the two routes would stop being independent.  In the same
 way stickelberger-scan checks the Teichmuller sum jacobi_sum against the
 digit counting of stickelberger_data, so the sum must not read the digit
-counting either.  Walks
-src/wittcycle/*.py with ast: from each root, every top-level def or class of
-the package whose name a reached body reads is followed in turn, and the
-names read along the way must miss the closed route.
+counting either, and the generic GL2 products ga_multiply and ps_act, the
+oracle the U- kernel is checked against, must not read the kernel, its
+packing or its chart.  Walks src/wittcycle/*.py with ast: from each root,
+every top-level def or class of the package whose name a reached body reads
+is followed in turn, and the names read along the way must miss the
+forbidden set.
 """
 
 import ast
@@ -45,6 +47,19 @@ JACOBI = [
     "_unpack_lanes",
 ]
 DIGIT_COUNTING = {"stickelberger_data", "factorial_mod_p"}
+
+ORACLE = ["ga_multiply", "ps_act", "gl2_inv", "gl2_mul"]
+KERNEL = {
+    "u_convolve",
+    "_pack",
+    "_u_layout",
+    "_coset_of",
+    "exchange_vectors",
+    "_u_chart",
+    "_w_map",
+    "_chart_s_plus",
+    "_chart_to_labels",
+}
 
 
 def definitions(sources):
@@ -90,6 +105,13 @@ def test_jacobi_sum_reads_no_digit_counting():
     assert set(JACOBI) <= set(defs)
     assert DIGIT_COUNTING <= set(defs)
     assert reached(JACOBI, defs) & DIGIT_COUNTING == set()
+
+
+def test_oracle_reads_no_kernel():
+    defs = definitions(p.read_text() for p in sorted(SRC.glob("*.py")))
+    assert set(ORACLE) <= set(defs)
+    assert KERNEL <= set(defs)
+    assert reached(ORACLE, defs) & KERNEL == set()
 
 
 def test_checker_follows_reads():

@@ -3,11 +3,13 @@ import random
 import pytest
 
 from wittcycle import _tables
-from wittcycle.group_algebra import GL2_W, gl2_mul, s_operator, scale_vector
+from wittcycle.group_algebra import GL2_W, gl2_inv, gl2_mul, s_operator, scale_vector
 from wittcycle.jacobi import jacobi_sum
 from wittcycle.padic import (
     Params,
     valuation_and_unit,
+    witt_add,
+    witt_mul,
     witt_neg,
     witt_one,
 )
@@ -25,6 +27,8 @@ from wittcycle.principal_series import (
     phi_vector,
     ps_act,
 )
+
+from test_group_algebra import random_gl2
 
 P7 = Params.make(7, 1)
 P7F2 = Params.make(7, 2)
@@ -228,3 +232,97 @@ def test_chart_vectors_match_generic_action(params):
             }
             v[vrng.choice(list(v))] = (0,) * work.f
             assert _w_map(module, v) == ps_act(module, GL2_W, v), (work.N, chi)
+
+
+# ------------------------------------------------ the packed ps_act oracle
+
+def _ps_act_ref(module, x, v):
+    """ps_act with witt_mul and witt_add per term: the reference for its
+    packed sums, reduced once per label."""
+    params = module.params
+    if isinstance(x, tuple):
+        x = {x: witt_one(params)}
+    T = _tables.tables_for(params)
+    teich = _tables.teich_by_code(params)
+    q, mul, add, neg, inv = T.q, T.mul, T.add, T.neg, T.inv
+    m1, m2 = module.chi.m1, module.chi.m2
+    out = {}
+    for h, hcoef in x.items():
+        e, f2, g2, h2 = gl2_inv(h, params)
+        for label, c in v.items():
+            if label == 0:
+                m00, m01, m10, m11 = e, f2, g2, h2
+            else:
+                lam = label - 1
+                m00, m01 = g2, h2
+                m10 = add[e * q + mul[lam * q + g2]]
+                m11 = add[f2 * q + mul[lam * q + h2]]
+            if m10 == 0:
+                lbl = 0
+                d1, d2 = m00, m11
+            else:
+                lbl = 1 + mul[m11 * q + inv[m10]]
+                det = add[mul[m00 * q + m11] * q + neg[mul[m01 * q + m10]]]
+                d1 = mul[neg[det] * q + inv[m10]]
+                d2 = m10
+            scal = teich[mul[T.pow_code(d1, -m1) * q + T.pow_code(d2, -m2)]]
+            w = witt_mul(witt_mul(c, scal, params), hcoef, params)
+            prev = out.get(lbl)
+            out[lbl] = witt_add(prev, w, params) if prev else w
+    return {lbl: c for lbl, c in out.items() if any(c)}
+
+
+_ORACLE_FIELDS = pytest.mark.parametrize("params", [P7, P7F2], ids=["q7", "q49"])
+
+
+@_ORACLE_FIELDS
+@pytest.mark.parametrize("seed", range(3))
+def test_ps_act_matches_reference_dense(params, seed):
+    rng = random.Random(seed)
+    q = params.q
+    module = PSModule(make_char(rng.randrange(q - 1), rng.randrange(q - 1), params), params)
+
+    def coeff():
+        return tuple(rng.randrange(params.pN) for _ in range(params.f))
+
+    v = {lbl: coeff() for lbl in range(q + 1)}
+    for _ in range(5):
+        g = random_gl2(rng, params)
+        assert ps_act(module, g, v) == _ps_act_ref(module, g, v)
+    x = {random_gl2(rng, params): coeff() for _ in range(40)}
+    x.update(s_operator(rng.randrange(q), "S", params))
+    assert ps_act(module, x, v) == _ps_act_ref(module, x, v)
+
+
+@_ORACLE_FIELDS
+def test_ps_act_extreme_coefficients(params):
+    # the central elements z I with z a non-square act on every label by
+    # [z]^(m1+m2) = [-1]; with every coefficient p^N - 1 each label collects
+    # |x| = (q-1)/2 terms, which reach the slot bound at f = 1
+    q = params.q
+    T = _tables.tables_for(params)
+    module = PSModule(make_char(1, (q - 1) // 2 - 1, params), params)
+    top = (params.pN - 1,) * params.f
+    x = {(T.exp[k], 0, 0, T.exp[k]): top for k in range(1, q - 1, 2)}
+    v = {lbl: top for lbl in range(q + 1)}
+    got = ps_act(module, x, v)
+    assert got == _ps_act_ref(module, x, v)
+    assert len(got) == q + 1
+
+
+@_ORACLE_FIELDS
+def test_ps_act_reads_coefficients_mod_pN(params):
+    rng = random.Random(params.q)
+    q, m = params.q, params.pN
+    module = PSModule(make_char(3, 1, params), params)
+
+    def coeff():
+        return tuple(rng.randrange(-3 * m, 3 * m) for _ in range(params.f))
+
+    v = {lbl: coeff() for lbl in range(q + 1)}
+    x = {random_gl2(rng, params): coeff() for _ in range(20)}
+    got = ps_act(module, x, v)
+    assert got == _ps_act_ref(module, x, v)
+    assert all(0 <= a < m for c in got.values() for a in c)
+    g = random_gl2(rng, params)
+    assert ps_act(module, g, v) == _ps_act_ref(module, g, v)
