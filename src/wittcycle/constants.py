@@ -237,9 +237,11 @@ def breuil_constant(cycle, rho, mode, params, cache=None):
 
     mode 'closed' assembles g purely from the closed formulas and leaves
     g_stepwise unset.  mode 'stepwise' additionally multiplies the
-    constant out numerically and insists the two agree.  cache, if given,
-    is a dict reused across calls to share the alpha-independent numeric
-    pieces of a cycle (the contraction and the step constants).
+    constant out numerically and insists the two agree.  Both modes build
+    the ledger, the pieces and the checks on them the same way, from their
+    own values.  cache, if given, is a dict reused across calls to share
+    the alpha-independent numeric pieces of a cycle (the contraction and
+    the step constants).
     """
     if mode not in ("stepwise", "closed"):
         raise ValueError("mode must be stepwise or closed")
@@ -262,75 +264,60 @@ def breuil_constant(cycle, rho, mode, params, cache=None):
         raise ArithmeticError("digit-count valuation differs from k|sym diff|/2")
     lead_beta_closed = contraction_lead(indices, params)
     ct_closed = ctilde_closed(cycle)
-    g_closed = witt_mul(
-        witt_mul(witt_from_int(ct_closed, fq), witt_from_int(lead_beta_closed, fq), fq),
-        witt_mul(witt_from_int(sign_kd, fq), alpha_factor, fq),
-        fq,
-    )
 
     epsilon = lead_beta_closed if sign_kd == 1 else (-lead_beta_closed) % p
     if kind == REDUCIBLE and k % 2:
         epsilon = (-epsilon) % p
     if epsilon not in (1, p - 1):
         raise ArithmeticError("epsilon sign is not +-1")
-    epsilon_sign = 1 if epsilon == 1 else -1
 
+    # mode closed takes these values from the formulas, mode stepwise from
+    # the numeric route; g, the ledger and the pieces are built once from them
+    if mode == "closed":
+        v_beta, lead_beta = v_formula, witt_from_int(lead_beta_closed, fq)
+        ct_lead = witt_from_int(ct_closed, fq)
+        per_step = ()
+        step_valuations = [f - D] * k
+    else:
+        key = (cycle.subsets, cycle.iplus)
+        if cache is not None and key in cache:
+            beta, ct_lead, per_step = cache[key]
+        else:
+            beta = beta_by_bruteforce(cycle, params)
+            ct_lead, per_step = ctilde_product(cycle, rho, params)
+            if cache is not None:
+                cache[key] = (beta, ct_lead, per_step)
+        v_beta, lead_beta = beta.v_beta, beta.lead_beta
+        step_valuations = [st.valuation for st in per_step]
+
+    sign_alpha = witt_mul(witt_from_int(sign_kd, fq), alpha_factor, fq)
+    g = witt_mul(witt_mul(ct_lead, lead_beta, fq), sign_alpha, fq)
+    g_closed = witt_mul(witt_from_int(ct_closed * lead_beta_closed, fq), sign_alpha, fq)
+    ledger = [("beta_valuation", v_beta), ("up_p_power", -(k * D) // 2)]
+    for t, v in enumerate(step_valuations):
+        ledger.append(("step_%d_valuation" % t, v))
+        ledger.append(("step_%d_saturation" % t, -(f - D)))
     pieces = {
-        "ctilde_product_lead": witt_from_int(ct_closed, fq),
-        "beta_valuation": v_formula,
-        "beta_lead": witt_from_int(lead_beta_closed, fq),
+        "ctilde_product_lead": ct_lead,
+        "beta_valuation": v_beta,
+        "beta_lead": lead_beta,
         "up_sign": up.sign,
         "alpha_factor": alpha_factor,
-        "epsilon_sign": epsilon_sign,
+        "epsilon_sign": 1 if epsilon == 1 else -1,
     }
-
-    if mode == "closed":
-        ledger = [("beta_valuation", v_formula), ("up_p_power", -(k * D) // 2)]
-        for t in range(k):
-            ledger.append(("step_%d_valuation" % t, f - D))
-            ledger.append(("step_%d_saturation" % t, -(f - D)))
-        if sum(v for _, v in ledger):
-            raise ArithmeticError("valuation ledger does not cancel")
-        return ConstantReport(cycle, None, g_closed, pieces, tuple(ledger))
-
-    key = (cycle.subsets, cycle.iplus)
-    if cache is not None and key in cache:
-        beta, ct_lead, per_step = cache[key]
-    else:
-        beta = beta_by_bruteforce(cycle, params)
-        ct_lead, per_step = ctilde_product(cycle, rho, params)
-        if cache is not None:
-            cache[key] = (beta, ct_lead, per_step)
-
-    g_stepwise = witt_mul(
-        witt_mul(ct_lead, beta.lead_beta, fq),
-        witt_mul(witt_from_int(sign_kd, fq), alpha_factor, fq),
-        fq,
-    )
-
-    lead_beta_num = _lead_to_int(beta.lead_beta, params)
-    ledger = [("beta_valuation", beta.v_beta), ("up_p_power", -(k * D) // 2)]
-    for st in per_step:
-        ledger.append(("step_%d_valuation" % st.index, st.valuation))
-        ledger.append(("step_%d_saturation" % st.index, -(f - D)))
-    pieces = dict(
-        pieces,
-        ctilde_product_lead=ct_lead,
-        beta_valuation=beta.v_beta,
-        beta_lead=beta.lead_beta,
-    )
 
     problems = []
     if sum(v for _, v in ledger):
         problems.append("valuation ledger does not cancel")
+    lead_beta_num = _lead_to_int(lead_beta, params)
     if lead_beta_num != lead_beta_closed:
         problems.append(
             "beta lead: numeric %d vs formula %d" % (lead_beta_num, lead_beta_closed)
         )
     if ct_lead != witt_from_int(ct_closed, fq):
         problems.append("ctilde product: numeric %s vs sign %d" % (ct_lead, ct_closed))
-    if g_stepwise != g_closed:
-        problems.append("g mismatch: stepwise %s vs closed %s" % (g_stepwise, g_closed))
+    if g != g_closed:
+        problems.append("g mismatch: stepwise %s vs closed %s" % (g, g_closed))
     if problems:
         lines = ["route disagreement for cycle %s:" % (cycle.subsets,)]
         lines += ["  " + msg for msg in problems]
@@ -343,7 +330,9 @@ def breuil_constant(cycle, rho, mode, params, cache=None):
         ]
         raise ArithmeticError("\n".join(lines))
 
-    return ConstantReport(cycle, g_stepwise, g_closed, pieces, tuple(ledger), tuple(per_step))
+    if mode == "closed":
+        return ConstantReport(cycle, None, g_closed, pieces, tuple(ledger))
+    return ConstantReport(cycle, g, g_closed, pieces, tuple(ledger), tuple(per_step))
 
 
 def theorem_form(report, rho, params):

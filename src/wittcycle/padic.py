@@ -24,6 +24,9 @@ PRECISION_INF = math.inf
 # bound refuses an oversized p or f before the trial division of p and the
 # modulus search, which grow with p and with p^f.
 MAX_Q = 2 ** 24
+# Largest N that Params.make accepts (the default f^2 + 4 stays <= 68 below
+# MAX_Q).  Escalation raises N through with_precision, past this bound.
+MAX_N = 256
 
 
 class PrecisionError(ArithmeticError):
@@ -161,6 +164,8 @@ class Params:
             N = f * f + 4
         if N < 1:
             raise ValueError("N must be at least 1")
+        if N > MAX_N:
+            raise ValueError("N must be at most %d" % MAX_N)
         if modulus is None:
             modulus = _default_modulus(p, f)
         else:

@@ -11,18 +11,31 @@ from labels to Witt tuples with zero entries dropped.
 A diagonal character is a pair (m1, m2) of exponents mod q-1:
 diag(a, d) acts on the phi line by [a]^m1 [d]^m2.
 
-The U- chart is the P^1 = B\\G model of the module: e_mu = u-(mu) phi for mu
-in F_q, with u-(mu) = (1 0; mu 1), together with label 1, the coset Bw,
-which U- fixes.  e_0 = phi, and each other e_mu is a Teichmuller multiple of
-one basis vector other than label 1.  In the chart S+_i acts as an additive
-convolution over F_q (group_algebra.u_convolve) and w = GL2_W acts
-monomially, so S_i = w S+_i costs one convolution and O(q) work.  The chart
-(_u_chart) and the w-map (_w_map) are read off the Bruhat decomposition in
-closed form; they touch only the O(q) field tables (inv, neg, dlog, exp) and
-the Teichmuller column.  exchange_vectors, the production route of
-exchange_constant and of the degenerate-step check, works there; ps_act, the
-action of any group element or group-algebra element term by term through
-the q x q oracle tables, is the oracle it is checked against.
+The exchange route works in a second basis of the same module: u-(mu) phi
+for mu in F_q, with u-(mu) = (1 0; mu 1), and w phi.  u-(0) phi = phi is
+label 0, w phi is label 1, and u-(mu) phi for mu != 0 is a Teichmuller unit
+times label 1 + code(-1/mu), so these q+1 vectors are a basis.  A vector
+there is a group-algebra element y supported on U- and w, standing for
+y phi, and operators act on y by the group-algebra product.  S+_i phi is
+the kernel s_operator(i, "S_plus") itself.  S+_i y is an additive
+convolution over F_q on the U- part (group_algebra.u_convolve); U- fixes
+w phi, which is multiplied by the sum of the kernel's coefficients.  The
+involution w = GL2_W swaps GL2_ID and GL2_W, and for mu != 0 the Bruhat
+decomposition
+
+    w u-(mu) = (mu 1; 1 0) = u-(1/mu) b,  b = (mu 1; 0 -1/mu),
+
+with b upper triangular, gives
+
+    w u-(mu) phi = [mu]^m1 [-1/mu]^m2 u-(1/mu) phi
+                 = (-1)^m2 [mu]^(m1-m2) u-(1/mu) phi,
+
+a monomial map read off dlog (_w_map).  So S_i = w S+_i costs one
+convolution and O(q) work, touching only the O(q) field tables (inv, neg,
+dlog, exp) and the Teichmuller column.  exchange_vectors, the production
+route of exchange_constant and of the degenerate-step check, works there;
+ps_act, the action of any group element or group-algebra element term by
+term through the q x q oracle tables, is the oracle it is checked against.
 
 ps_act sums lazily, like group_algebra.ga_multiply: each term
 c [chi(b)^(-1)] hcoef is a product of three coefficients packed in t
@@ -36,14 +49,11 @@ bit_length(|x| f^2 (p^N-1)^3) bits never carry.
 from dataclasses import dataclass
 
 from wittcycle import _tables
-from wittcycle.group_algebra import gl2_inv, s_operator, scale_vector, u_convolve
+from wittcycle.group_algebra import GL2_ID, GL2_W, gl2_inv, s_operator, scale_vector, u_convolve
 from wittcycle.padic import (
     MAX_ESCALATIONS,
-    PRECISION_INF,
     escalate,
-    valuation_and_unit,
     witt_add,
-    witt_divide_exact,
     witt_mul,
     witt_one,
     witt_pack,
@@ -210,95 +220,55 @@ def eigen_check(module, vec, xi):
     return True
 
 
-def _u_chart(module):
-    """For each code mu, the label and Teichmuller scalar s with
-    u-(mu) phi = s e_label, and 1/s.
-
-    For mu != 0, (1 0; -mu 1) = b w n(-1/mu) with b upper triangular of
-    diagonal (1/mu, -mu), so u-(mu) phi = chi(b)^(-1) e_(1 + code(-1/mu)) and
-    chi(b)^(-1) = (-1)^m2 [mu]^(m1-m2): a monomial in mu, read off dlog.
-    """
+def _w_map(module, y):
+    """w y for w = GL2_W and y on U- and w: GL2_ID and GL2_W swap, and
+    u-(mu), mu != 0, goes to (-1)^m2 [mu]^(m1-m2) u-(1/mu) (module docstring)."""
     params = module.params
     T = _tables.tables_for(params)
     teich = _tables.teich_by_code(params)
     m = params.q - 1
     d = module.chi.m1 - module.chi.m2
     sign = T.dlog[T.neg[1]] * module.chi.m2
-    label, scalar, inverse = [0], [teich[1]], [teich[1]]
-    for mu in range(1, params.q):
-        k = (T.dlog[mu] * d + sign) % m
-        label.append(1 + T.neg[T.inv[mu]])
-        scalar.append(teich[T.exp[k]])
-        inverse.append(teich[T.exp[-k % m]])
-    return label, scalar, inverse
-
-
-def _w_map(module, v):
-    """w v for w = GL2_W, as a monomial map: it swaps labels 0 and 1, and
-    for lam != 0, (1 0; lam 1) = b w n(1/lam) with b upper triangular of
-    diagonal (-1/lam, lam), so e_(1 + lam) goes to (-1)^m1 [lam]^(m1-m2) e_(1 + 1/lam)."""
-    params = module.params
-    T = _tables.tables_for(params)
-    teich = _tables.teich_by_code(params)
-    m = params.q - 1
-    d = module.chi.m1 - module.chi.m2
-    sign = T.dlog[T.neg[1]] * module.chi.m1
     out = {}
-    for lbl, c in v.items():
-        if lbl < 2:
-            lbl = 1 - lbl
+    for g, c in y.items():
+        if g == GL2_W:
+            g = GL2_ID
+        elif g == GL2_ID:
+            g = GL2_W
         else:
-            lam = lbl - 1
-            lbl = 1 + T.inv[lam]
-            c = witt_mul(c, teich[T.exp[(T.dlog[lam] * d + sign) % m]], params)
+            mu = g[2]
+            g = (1, 0, T.inv[mu], 1)
+            c = witt_mul(c, teich[T.exp[(T.dlog[mu] * d + sign) % m]], params)
         if any(c):
-            out[lbl] = c
+            out[g] = c
     return out
 
 
-def _chart_to_labels(chart, x, params):
-    """The vector sum over mu of x[u-(mu)] e_mu."""
-    label, scalar, _ = chart
-    return {label[g[2]]: witt_mul(c, scalar[g[2]], params) for g, c in x.items()}
-
-
-def _chart_s_plus(chart, v, i, params):
-    """S+_i v: one additive convolution on the chart coordinates of v, and
-    label 1, which U- fixes, times the sum of the kernel's coefficients."""
-    label, _, inverse = chart
-    mu_of = {lbl: mu for mu, lbl in enumerate(label)}
-    x = {}
-    for lbl, c in v.items():
-        if lbl != 1:
-            mu = mu_of[lbl]
-            x[(1, 0, mu, 1)] = witt_mul(c, inverse[mu], params)
+def _s_plus(y, i, params):
+    """S+_i y for y on U- and w: one additive convolution on the U- part,
+    and w phi, which U- fixes, times the sum of the kernel's coefficients."""
     kernel = s_operator(i, "S_plus", params)
-    out = _chart_to_labels(chart, u_convolve(x, kernel, params), params)
-    if 1 in v:
+    out = u_convolve({g: c for g, c in y.items() if g != GL2_W}, kernel, params)
+    if GL2_W in y:
         total = witt_zero(params)
         for c in kernel.values():
             total = witt_add(total, c, params)
-        at_one = witt_mul(v[1], total, params)
-        if any(at_one):
-            out[1] = at_one
+        at_w = witt_mul(y[GL2_W], total, params)
+        if any(at_w):
+            out[GL2_W] = at_w
     return out
 
 
 def exchange_vectors(module, i_psi):
-    """S_0 phi, S_{i_psi} S_0 phi and S+_{q-1-i_psi} phi, in the U- chart.
+    """S_0 phi, S_{i_psi} S_0 phi and S+_{q-1-i_psi} phi, each as the element
+    y on U- and w that stands for y phi.
 
-    S_i = w S+_i, and S+_i phi is the kernel of S+_i moved to labels, so the
-    three vectors cost one u_convolve and two O(q) monomial maps for w.
+    S_i = w S+_i, so the three cost one u_convolve and two O(q) w-maps.
     """
     params = module.params
-    chart = _u_chart(module)
-
-    def s_plus_phi(i):
-        return _chart_to_labels(chart, s_operator(i, "S_plus", params), params)
-
-    s0phi = _w_map(module, s_plus_phi(0))
-    u = _w_map(module, _chart_s_plus(chart, s0phi, i_psi, params))
-    return s0phi, u, s_plus_phi(params.q - 1 - i_psi)
+    s0phi = _w_map(module, s_operator(0, "S_plus", params))
+    u = _w_map(module, _s_plus(s0phi, i_psi, params))
+    return s0phi, u, s_operator(params.q - 1 - i_psi, "S_plus", params)
 
 
 def exchange_constant(psi_s, i_psi, params):
@@ -306,9 +276,9 @@ def exchange_constant(psi_s, i_psi, params):
 
     Works in the module induced from psi_s.  The target character
     psi_s alpha^(-i_psi) must have multiplicity one there; the degenerate
-    case raises ExchangeError.  Proportionality is verified exactly at the
-    working precision over all q+1 coordinates (by cross multiplication),
-    and the constant is read off a coordinate of largest unit content.
+    case raises ExchangeError.  The constant is read off the coordinate at
+    u-(1), where S+_{q-1-i_psi} phi is 1, and proportionality is verified
+    exactly at the working precision over all q+1 coordinates.
     Returns (c, i_plus, params_used).
     """
     q = params.q
@@ -332,35 +302,11 @@ def exchange_constant(psi_s, i_psi, params):
 
 def _exchange_once(psi_s, i_psi, params):
     _, u, w = exchange_vectors(PSModule(psi_s, params), i_psi)
-    if not w:
-        raise ArithmeticError("comparison vector vanished")
-    # every nonzero coordinate of w is a unit times phi translate, so the
-    # pivot has unit content and division keeps full precision
-    pivot = None
-    best = None
-    for lbl, c in w.items():
-        v, _ = valuation_and_unit(c, params)
-        if v is PRECISION_INF:
-            continue
-        if best is None or v < best:
-            best, pivot = v, lbl
-        if v == 0:
-            break
-    if pivot is None:
-        return None
-    wp = w[pivot]
-    up = u.get(pivot)
-    if up is None:
-        if u:
-            raise ExchangeError("vectors are not proportional")
+    # w = S+_{i_plus} has the Teichmuller unit [mu]^i_plus at u-(mu), and 1 at
+    # u-(1), so c is u's coefficient there if u is proportional to w at all
+    c = u.get((1, 0, 1, 1), witt_zero(params))
+    if u != scale_vector(w, c, params):
+        raise ExchangeError("vectors are not proportional")
+    if not any(c):
         return None  # u vanished at this precision
-    for lbl in set(u) | set(w):
-        lhs = witt_mul(u.get(lbl, (0,) * params.f), wp, params)
-        rhs = witt_mul(up, w.get(lbl, (0,) * params.f), params)
-        if lhs != rhs:
-            raise ExchangeError("vectors are not proportional")
-    c, params = witt_divide_exact(up, wp, params)
-    v, _ = valuation_and_unit(c, params)
-    if v is PRECISION_INF:
-        return None
     return c, params

@@ -249,6 +249,8 @@ def cycle_from(rho, start):
     f = rho.params.f
     q = rho.params.q
     start = frozenset(start)
+    if not start <= set(range(f)):
+        raise ValueError("cycle start must be a subset of {0..%d}" % (f - 1))
     orbit = [start]
     cur = delta(start, rho.kind, f)
     while cur != start:

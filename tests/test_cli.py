@@ -150,6 +150,19 @@ def test_oversized_field_exit_2(monkeypatch, capsys):
     assert main(["weights", "--p", "101", "--f", "1"] + rho) == 0
 
 
+def test_cycle_start_outside_z_mod_f_exit_2(capsys):
+    argv = ["constant", "--p", "7", "--f", "2", "--kind", "irr", "--r", "2"]
+    assert main(argv + ["--cycle-start", "9"]) == 2
+    assert "subset of {0..1}" in capsys.readouterr().err
+
+
+def test_precision_bound_exit_2(capsys):
+    assert padic.MAX_N == 256
+    assert main(["field-info", "--p", "7", "--f", "1", "--N", "257"]) == 2
+    assert "at most 256" in capsys.readouterr().err
+    assert main(["field-info", "--p", "7", "--f", "1", "--N", "256"]) == 0
+
+
 def test_inadmissible_type_exit_2(capsys):
     code = main(
         [
@@ -234,6 +247,11 @@ _REPORT_DIGESTS = [
      "a22ddbb888ec9efde831df123e96305bf819949fdbd3d2a9232ab369640bc013"),
     ("stickelberger-scan --p 7 --f 2",
      "f0a8fe10f4e782e986c45f92f3827d720aeb6e1d5af2e343e0db496dad2f449e"),
+    # escalates the exchange constants from N = 1 to N = 5
+    ("constant --p 7 --f 2 --kind irr --r 2 --N 1",
+     "00575d2c9d5f56f12a500cc5c3892c2d26290ab02ba45e5b818540cf0afb9527"),
+    ("constant --p 7 --f 3 --kind red --r 2 --alpha 3 --alpha-prime 5 --mode closed",
+     "4efe45f569b6769d82768f7ad98e5ef91777386a58720be4f961872789e58c21"),
 ]
 
 

@@ -277,8 +277,8 @@ def _oracle_reads(monkeypatch):
 
 
 def test_stepwise_constants_act_by_single_elements(monkeypatch):
-    # the exchange constants run in the U- chart, whose chart and w-map are
-    # O(q) monomial maps: stepwise constants call no generic ps_act and read
+    # the exchange constants run on U- and w, with one convolution and the
+    # O(q) monomial w-map: stepwise constants call no generic ps_act and read
     # no q x q table, so those tables are never built on this route
     reads = _oracle_reads(monkeypatch)
     for rho in (RHO_IRR_F2, RHO_RED_F2):

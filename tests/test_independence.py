@@ -1,6 +1,6 @@
 """The numeric route never reads a closed formula.
 
-Exchange constants are multiplied out in the U- chart and only afterwards
+Exchange constants are multiplied out on U- and w and only afterwards
 compared with the Jacobi-sum and digit-count formulas.  If a function of the
 numeric route read one of those formulas, directly or through any package
 function it reads, the two routes would stop being independent.  In the same
@@ -8,10 +8,10 @@ way stickelberger-scan checks the Teichmuller sum jacobi_sum against the
 digit counting of stickelberger_data, so the sum must not read the digit
 counting either, and the generic GL2 products ga_multiply and ps_act, the
 oracle the U- kernel is checked against, must not read the kernel, its
-packing or its chart.  Walks src/wittcycle/*.py with ast: from each root,
-every top-level def or class of the package whose name a reached body reads
-is followed in turn, and the names read along the way must miss the
-forbidden set.
+packing or the exchange route's maps.  Walks src/wittcycle/*.py with ast:
+from each root, every top-level def or class of the package whose name a
+reached body reads is followed in turn, and the names read along the way
+must miss the forbidden set.
 """
 
 import ast
@@ -29,10 +29,8 @@ CLOSED = {
 NUMERIC = [
     "_exchange_once",
     "exchange_vectors",
-    "_u_chart",
     "_w_map",
-    "_chart_s_plus",
-    "_chart_to_labels",
+    "_s_plus",
     "degenerate_step_check",
     "_contract_once",
 ]
@@ -55,10 +53,8 @@ KERNEL = {
     "_u_layout",
     "_coset_of",
     "exchange_vectors",
-    "_u_chart",
     "_w_map",
-    "_chart_s_plus",
-    "_chart_to_labels",
+    "_s_plus",
 }
 
 

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from wittcycle import _tables
+from wittcycle import _tables, principal_series
 from wittcycle.group_algebra import GL2_W, gl2_inv, gl2_mul, s_operator, scale_vector
 from wittcycle.jacobi import jacobi_sum
 from wittcycle.padic import (
     Params,
+    PrecisionError,
     valuation_and_unit,
     witt_add,
     witt_mul,
@@ -207,7 +208,7 @@ def test_exchange_validates_index_range():
 
 @pytest.mark.parametrize("params", [P7, P7F2, P11F2], ids=["q7", "q49", "q121"])
 def test_chart_vectors_match_generic_action(params):
-    # the U- chart route against term-by-term ps_act, at the working N and
+    # the route on U- and w against term-by-term ps_act, at the working N and
     # mod p; indices include 0, q-1 and the degenerate target i = m1 - m2
     rng = random.Random(params.q)
     vrng = random.Random(params.q + 1)
@@ -224,14 +225,40 @@ def test_chart_vectors_match_generic_action(params):
                     ps_act(module, s_operator(i, "S", work), s0phi),
                     ps_act(module, s_operator(q - 1 - i, "S_plus", work), phi),
                 )
-                assert exchange_vectors(module, i) == want, (work.N, chi, i)
-            # the monomial w-map on a random vector, with one zero coordinate
-            v = {
-                lbl: tuple(vrng.randrange(work.pN) for _ in range(work.f))
-                for lbl in vrng.sample(range(q + 1), (q + 1) // 2)
+                got = tuple(ps_act(module, y, phi) for y in exchange_vectors(module, i))
+                assert got == want, (work.N, chi, i)
+            # the monomial w-map on a random element of U- and w, with one
+            # zero coefficient
+            keys = [GL2_W] + [(1, 0, mu, 1) for mu in range(q)]
+            x = {
+                g: tuple(vrng.randrange(work.pN) for _ in range(work.f))
+                for g in vrng.sample(keys, (q + 1) // 2)
             }
-            v[vrng.choice(list(v))] = (0,) * work.f
-            assert _w_map(module, v) == ps_act(module, GL2_W, v), (work.N, chi)
+            x[vrng.choice(list(x))] = (0,) * work.f
+            assert ps_act(module, _w_map(module, x), phi) == ps_act(
+                module, GL2_W, ps_act(module, x, phi)
+            ), (work.N, chi)
+
+
+def test_exchange_proportionality_check_bites(monkeypatch):
+    psi_s = make_char(10, 2, P7F2)
+    vectors = principal_series.exchange_vectors
+
+    def off_by_one(module, i_psi):
+        s0phi, u, w = vectors(module, i_psi)
+        g = next(g for g in u if g != (1, 0, 1, 1))
+        u = dict(u)
+        u[g] = witt_add(u[g], witt_one(module.params), module.params)
+        return s0phi, u, w
+
+    monkeypatch.setattr(principal_series, "exchange_vectors", off_by_one)
+    with pytest.raises(ExchangeError):
+        exchange_constant(psi_s, 5, P7F2)
+    monkeypatch.setattr(
+        principal_series, "exchange_vectors", lambda m, i: (None, {}, vectors(m, i)[2])
+    )
+    with pytest.raises(PrecisionError):
+        exchange_constant(psi_s, 5, P7F2)
 
 
 # ------------------------------------------------ the packed ps_act oracle
