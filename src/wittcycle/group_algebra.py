@@ -20,10 +20,14 @@ per (field digit vector, t-degree), each slot wide enough in decimal digits
 for the bound q f (p^N-1)^2 on a product coefficient, so no slot carries
 into the next.  The integer is a decimal.Decimal, so the one big multiply
 runs on libmpdec's number-theoretic transform, in a context that raises on
-any rounding.  The product is unpacked, folded mod p per field digit and
-reduced by the modulus and mod p^N.  This still multiplies out term by
-term, only all terms at once; ga_multiply, the generic GL2 product, stays as
-the oracle the kernel is checked against.
+any rounding.  The product's text is cut into slots by struct and int one
+block of the outermost field digit at a time, so at most two blocks are
+parsed at once.  Field digits are folded mod p by adding whole slices of
+slots, outermost digit first, and the t-degree columns of all q codes are
+reduced by the modulus and mod p^N a column at a time: no Python loop runs
+per slot.  This still multiplies out term by term, only all terms at once;
+ga_multiply, the generic GL2 product, stays as the oracle the kernel is
+checked against.
 
 ga_multiply runs through every term pair, its key through the q x q mul and
 add tables, and sums lazily: each coefficient is packed in t as one integer
@@ -37,9 +41,10 @@ slots of bit_length(min(|x|, |y|) f (p^N-1)^2) bits never carry.
 """
 
 import decimal
-from array import array
+import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from operator import add, sub
 
 from wittcycle import _tables
 from wittcycle.jacobi import factorial_mod_p, jacobi_sum
@@ -50,7 +55,6 @@ from wittcycle.padic import (
     escalate,
     valuation_and_unit,
     witt_add,
-    witt_fold,
     witt_from_int,
     witt_mul,
     witt_neg,
@@ -169,25 +173,26 @@ def ga_multiply(x, y, params):
 
 
 @lru_cache(maxsize=None)
-def _u_layout(p, f):
-    """Slot geometry of a packed U- operand over F_q, q = p^f.
-
-    A slot index is k + T*(z_0 + W*z_1 + ... + W^(f-1)*z_(f-1)): k is the
-    t-degree of a coefficient (T = 2f-1 slots, room for a product) and z_i a
-    field digit (width W = 2p-1, room for a digit sum).  offset[code] is the
-    slot of t-degree 0 for a field code; target[j] is code*T + k for the code
-    whose digits are those of product slot j folded mod p.
-    """
-    T, W = 2 * f - 1, 2 * p - 1
-    offset = [
-        T * sum(d * W**i for i, d in enumerate(digits(code, p, f)))
+def _cells(p, f):
+    """cells[code]: the field digits of code read in base 2p-1, room for a
+    digit sum; a packed operand puts a code's coefficients in that cell."""
+    return [
+        sum(d * (2 * p - 1) ** i for i, d in enumerate(digits(code, p, f)))
         for code in range(p**f)
     ]
-    target = array("l")
-    for z in range(W**f):
-        code = sum((d % p) * p**i for i, d in enumerate(digits(z, W, f)))
-        target.extend(code * T + k for k in range(T))
-    return offset, target
+
+
+def _parse_block(text, parser, z):
+    """The ints in the z-th block of parser.size characters from the end of
+    text, lowest slot first."""
+    return list(map(int, parser.unpack_from(text, len(text) - (z + 1) * parser.size)))[::-1]
+
+
+def _exact_multiply(a, b):
+    """a * b for integral Decimals, raising on rounding of any kind: a
+    rounded product would be wrong in every slot."""
+    traps = [decimal.Inexact, decimal.Rounded, decimal.Overflow, decimal.InvalidOperation]
+    return decimal.Context(decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=traps).multiply(a, b)
 
 
 def _coset_of(x):
@@ -207,19 +212,49 @@ def _coset_of(x):
     return coset
 
 
-def _pack(x, lam_index, offset, width, params):
-    """One Decimal whose base-10^width digits are x's coefficients, by slot."""
-    pN = params.pN
-    top = max(offset[g[lam_index]] for g in x) + params.f
-    zero = "0" * width
-    slots = [zero] * top
+def _pack(x, lam_index, cells, width, params):
+    """One Decimal whose base-10^width digits are x's coefficients: cell
+    cells[lam] holds 2f-1 slots, the coefficient of t^k in slot k."""
+    f, pN = params.f, params.pN
+    zero = "0" * ((2 * f - 1) * width)
+    cell = zero[: (f - 1) * width] + "%%0%dd" % width * f
+    out = [zero] * (max(cells[g[lam_index]] for g in x) + 1)
     for g, coeff in x.items():
-        base = offset[g[lam_index]]
-        for k, v in enumerate(coeff):
-            if v:
-                slots[base + k] = "%0*d" % (width, v % pN)
-    slots.reverse()
-    return decimal.Decimal("".join(slots))
+        out[cells[g[lam_index]]] = cell % (*map(pN.__rmod__, reversed(coeff)),)
+    out.reverse()
+    return decimal.Decimal("".join(out))
+
+
+def _fold_digits(block, d, p):
+    """Slots k + T*(z_0 + W*z_1 + ... + W^(d-1)*z_(d-1)), W = 2p-1, summed
+    into k + T*(z_0 + p*z_1 + ...) by digits mod p.  block(z) lists, lowest
+    first, the slots with outermost digit z; blocks z and z+p are added
+    whole, then the inner digits of the sum are folded in turn."""
+    out = []
+    for z in range(p):
+        part = block(z)
+        if z < p - 1:
+            part = list(map(add, part, block(z + p)))
+        if d > 1:
+            n = len(part) // (2 * p - 1)
+            part = _fold_digits(lambda y, part=part, n=n: part[y * n : y * n + n], d - 1, p)
+        out += part
+    return out
+
+
+def _reduce_columns(acc, params):
+    """The Witt tuples, code by code, of acc[k + T*code] as the coefficient
+    of t^k (T = 2f-1): reduced by the modulus from the top degree down, then
+    mod p^N, one column of all codes at a time."""
+    f, pN, mod = params.f, params.pN, params.modulus
+    T = 2 * f - 1
+    cols = [acc[k::T] for k in range(T)]
+    for k in range(T - 1, f - 1, -1):
+        top = list(map(pN.__rmod__, cols[k]))
+        for i in range(f):
+            if mod[i]:
+                cols[k - f + i] = list(map(sub, cols[k - f + i], map(mod[i].__mul__, top)))
+    return zip(*(map(pN.__rmod__, col) for col in cols[:f]))
 
 
 def u_convolve(x, y, params):
@@ -237,33 +272,25 @@ def u_convolve(x, y, params):
         raise ValueError("right operand must lie on U-")
     if not x or not y:
         return {}
-    p, f, pN = params.p, params.f, params.pN
-    T = 2 * f - 1
-    offset, target = _u_layout(p, f)
+    p, f, W = params.p, params.f, 2 * params.p - 1
+    cells = _cells(p, f)
     # a product slot sums at most q*f products of two coefficients < p^N
-    width = len(str(params.q * f * (pN - 1) ** 2))
+    width = len(str(params.q * f * (params.pN - 1) ** 2))
+    # the product's digits, top slot first; no name holds the product, so
+    # it is freed as soon as its text exists
     lam_x = 2 if coset == "1" else 0
-    # exact integer arithmetic: a rounded product would be wrong in every
-    # slot, so rounding of any kind raises instead
-    exact = decimal.Context(
-        prec=decimal.MAX_PREC,
-        Emax=decimal.MAX_EMAX,
-        traps=[decimal.Inexact, decimal.Rounded, decimal.Overflow, decimal.InvalidOperation],
-    )
-    prod = exact.multiply(
-        _pack(x, lam_x, offset, width, params), _pack(y, 2, offset, width, params)
-    )
-    text = format(prod, "f")
-    span = -(-len(text) // width) * width
-    text = text.zfill(span)
-    acc = [0] * (params.q * T)
-    for t, i in zip(target, range(span - width, -1, -width)):
-        v = int(text[i : i + width])
-        if v:
-            acc[t] += v
+    text = format(
+        _exact_multiply(_pack(x, lam_x, cells, width, params), _pack(y, 2, cells, width, params)),
+        "f",
+    ).encode()
+    # 2p-1 blocks of n slots, one per outermost field digit, each parsed
+    # only when it is folded
+    n = (2 * f - 1) * W ** (f - 1)
+    text = text.zfill(W * n * width)
+    parser = struct.Struct("%ds" % width * n)
+    acc = _fold_digits(partial(_parse_block, text, parser), f, p)
     out = {}
-    for code in range(params.q):
-        w = witt_fold(acc[code * T : code * T + T], params)
+    for code, w in enumerate(_reduce_columns(acc, params)):
         if any(w):
             out[(1, 0, code, 1) if coset == "1" else (code, 1, 1, 0)] = w
     return out

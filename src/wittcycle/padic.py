@@ -349,16 +349,6 @@ def valuation_and_unit(x, params):
     return v, lead
 
 
-def witt_unit_part(x, params):
-    """x / p^v at precision N - v, with its own Params. Returns (u, v, params)."""
-    v, _ = valuation_and_unit(x, params)
-    if v is PRECISION_INF:
-        raise PrecisionError("zero at working precision has no unit part")
-    sub = params.with_precision(params.N - v)
-    u = tuple((c // params.p ** v) % sub.pN for c in x)
-    return u, v, sub
-
-
 def witt_inv(x, params):
     """Inverse of a unit, by lifting the residue inverse with Newton steps."""
     v, lead = valuation_and_unit(x, params)
@@ -374,18 +364,3 @@ def witt_inv(x, params):
         raise ArithmeticError("unit inversion failed")
     return y
 
-
-def witt_divide_exact(x, y, params):
-    """x / y where p^v(y) divides x. Returns (quotient, params at N - v(y)).
-
-    The quotient is only defined at precision N - v(y); the returned Params
-    reflects that.
-    """
-    u, v, sub = witt_unit_part(y, params)
-    p = params.p
-    xs = tuple((c % params.pN) for c in x)
-    for c in xs:
-        if c % p ** v:
-            raise ArithmeticError("division is not exact")
-    x_shift = tuple((c // p ** v) % sub.pN for c in xs)
-    return witt_mul(x_shift, witt_inv(u, sub), sub), sub

@@ -1,7 +1,8 @@
 import random
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wittcycle._tables import tables_for
 from wittcycle.cli import _contract_checks
@@ -177,8 +178,10 @@ def test_result_type_fields():
 
 # ------------------------------------------------ the packed U- convolution
 
-_KERNEL_FIELDS = {7: P71, 49: P72, 121: Params.make(11, 2)}
-_qs = st.sampled_from(sorted(_KERNEL_FIELDS))
+_KERNEL_FIELDS = {7: P71, 49: P72, 121: Params.make(11, 2), 343: Params.make(7, 3)}
+# f = 3 is the first field whose inner field digits are folded recursively;
+# its oracle products are slow, so q = 343 runs as explicit examples only
+_qs = st.sampled_from([7, 49, 121])
 _cosets = st.sampled_from(["1", "w"])
 # coefficients come from a seeded random.Random: hypothesis's own randoms
 # favour small values, which would leave the slot widths untested
@@ -202,6 +205,7 @@ def _sparse(rng, coset, density, params):
 
 @settings(max_examples=40, deadline=None)
 @given(_qs, _cosets, st.sampled_from([0.02, 0.2, 1.0]), _seeds)
+@example(343, "w", 1.0, 343)
 def test_u_convolve_matches_oracle_sparse(q, coset, density, seed):
     params = _KERNEL_FIELDS[q]
     rng = random.Random(seed)
@@ -225,6 +229,8 @@ def test_u_convolve_matches_oracle_augmented(q, variant, left, data):
 
 @settings(max_examples=30, deadline=None)
 @given(_qs, _cosets, _seeds)
+@example(343, "1", 343)
+@example(343, "w", 7)
 def test_u_convolve_drops_sums_that_cancel(q, coset, seed):
     params = _KERNEL_FIELDS[q]
     rng = random.Random(seed)
@@ -260,6 +266,43 @@ def test_u_convolve_extreme_coefficients(q, coset):
     x = {_key(coset, lam): top for lam in range(q)}
     y = {_key("1", lam): top for lam in range(q)}
     assert u_convolve(x, y, params) == ga_multiply(x, y, params)
+
+
+@pytest.mark.parametrize("q", [7, 49, 343])
+@pytest.mark.parametrize("coset", ["1", "w"])
+def test_u_convolve_short_products(q, coset):
+    # products on u-(0) and u-(1) only: the product's text is far shorter
+    # than its slots, and every higher block is read as zeros
+    params = _KERNEL_FIELDS[q]
+    rng = random.Random(q)
+    c, a = (tuple(rng.randrange(params.pN) for _ in range(params.f)) for _ in range(2))
+    for lams, mus in (([0], [0]), ([0, 1], [1]), ([1], [0, 1])):
+        x = {_key(coset, lam): c for lam in lams}
+        y = {_key("1", mu): a for mu in mus}
+        assert u_convolve(x, y, params) == ga_multiply(x, y, params)
+    # an operand that is 0 mod p^N packs to the number 0
+    x = {_key(coset, 0): (params.pN,) * params.f}
+    assert u_convolve(x, {_key("1", 0): a}, params) == {}
+
+
+# tracemalloc peak of one u_convolve of the dense operands below, measured
+# before the product was unpacked block by block: the product and its text
+# are the largest objects, and a parsed block must stay small beside them
+_U_CONVOLVE_PEAK_343 = 680791
+
+
+def test_u_convolve_peak_memory_q343():
+    params = _KERNEL_FIELDS[343]
+    rng = random.Random(343)
+    x, y = (_sparse(rng, "1", 1.0, params) for _ in range(2))
+    u_convolve(x, y, params)  # caches and tables built outside the trace
+    tracemalloc.start()
+    try:
+        u_convolve(x, y, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _U_CONVOLVE_PEAK_343
 
 
 def test_u_convolve_empty_operands():

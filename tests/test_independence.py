@@ -50,7 +50,11 @@ ORACLE = ["ga_multiply", "ps_act", "gl2_inv", "gl2_mul"]
 KERNEL = {
     "u_convolve",
     "_pack",
-    "_u_layout",
+    "_cells",
+    "_fold_digits",
+    "_reduce_columns",
+    "_parse_block",
+    "_exact_multiply",
     "_coset_of",
     "exchange_vectors",
     "_w_map",

