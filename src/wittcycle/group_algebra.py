@@ -276,9 +276,9 @@ def u_convolve(x, y, params):
     cells = _cells(p, f)
     # a product slot sums at most q*f products of two coefficients < p^N
     width = len(str(params.q * f * (params.pN - 1) ** 2))
+    lam_x = 2 if coset == "1" else 0
     # the product's digits, top slot first; no name holds the product, so
     # it is freed as soon as its text exists
-    lam_x = 2 if coset == "1" else 0
     text = format(
         _exact_multiply(_pack(x, lam_x, cells, width, params), _pack(y, 2, cells, width, params)),
         "f",

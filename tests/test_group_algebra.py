@@ -285,9 +285,9 @@ def test_u_convolve_short_products(q, coset):
     assert u_convolve(x, {_key("1", 0): a}, params) == {}
 
 
-# tracemalloc peak of one u_convolve of the dense operands below, measured
-# before the product was unpacked block by block: the product and its text
-# are the largest objects, and a parsed block must stay small beside them
+# tracemalloc peak of one u_convolve of the dense operands below under the
+# slot-by-slot unpack this kernel replaced.  Both peak while the product is
+# formatted as text; the blocks parsed after that must stay below it.
 _U_CONVOLVE_PEAK_343 = 680791
 
 
