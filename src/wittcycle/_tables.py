@@ -86,8 +86,6 @@ class FieldTables:
                     break
             if order == m:
                 return g
-        if q == 2:
-            return 1
         raise ArithmeticError("no generator found")
 
     @property

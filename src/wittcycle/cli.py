@@ -18,7 +18,7 @@ import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from wittcycle._tables import tables_for
 from wittcycle.constants import breuil_constant, theorem_form
@@ -72,25 +72,6 @@ from wittcycle.weights import (
     subsets_of,
     survey_orbits,
 )
-
-
-@dataclass
-class RunConfig:
-    """One CLI invocation: field, optional residual datum, command knobs."""
-
-    command: str
-    p: int
-    f: int
-    N: int = None
-    kind: str = None
-    r: tuple = None
-    alpha: object = 1
-    alpha_prime: object = None
-    json_out: bool = False
-    out: str = None
-    seed: int = 0
-    jobs: int = 1
-    extra: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -156,10 +137,9 @@ def _item(inputs, outputs, provenance, checks):
     }
 
 
-def _build_rho(cfg, params):
-    if cfg.kind is None:
-        return None
-    return make_rho(cfg.kind, cfg.r, cfg.alpha, params, alpha_prime=cfg.alpha_prime)
+def _build_rho(ns, params):
+    r = ns.r * params.f if len(ns.r) == 1 else ns.r  # a single value repeats
+    return make_rho(ns.kind, r, ns.alpha, params, alpha_prime=ns.alpha_prime)
 
 
 def _rho_json(rho):
@@ -176,7 +156,7 @@ def _rho_json(rho):
 # ---------------------------------------------------------------- field-info
 
 
-def _cmd_field_info(cfg, params):
+def _cmd_field_info(ns, params):
     t = tables_for(params)
     gen = t.elems[t.generator]
     lift = teichmuller(gen, params)
@@ -228,9 +208,8 @@ def _jacobi_checks(a, b, convention, value, params):
     return checks
 
 
-def _cmd_jacobi(cfg, params):
-    a, b = cfg.extra["a"], cfg.extra["b"]
-    convention = cfg.extra["convention"]
+def _cmd_jacobi(ns, params):
+    a, b, convention = ns.a, ns.b, ns.convention
     value = jacobi_sum(a, b, convention, params)
     v, lead = valuation_and_unit(value, params)
     item = _item(
@@ -299,26 +278,24 @@ def _pool_size(jobs, ntasks):
     return max(1, min(jobs, ntasks, os.cpu_count() or 1))
 
 
-def _pmap(fn, tasks, jobs):
-    workers = _pool_size(jobs, len(tasks))
-    if workers == 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
-
-
 def _scan(params, pairs, jobs):
     """Scan items for the pairs, in order, split over at most `jobs` workers."""
     jobs = _pool_size(jobs, len(pairs))
     chunk = max(1, (len(pairs) + jobs - 1) // jobs)
     tasks = [(params, pairs[i : i + chunk]) for i in range(0, len(pairs), chunk)]
-    return [it for part in _pmap(_scan_chunk, tasks, jobs) for it in part]
+    # at most `jobs` tasks, so one worker per task stays within the clamp
+    if len(tasks) < 2:
+        parts = map(_scan_chunk, tasks)
+    else:
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+            parts = list(pool.map(_scan_chunk, tasks))
+    return [it for part in parts for it in part]
 
 
-def _cmd_stickelberger_scan(cfg, params):
+def _cmd_stickelberger_scan(ns, params):
     tables_for(params)  # an oversized field is refused before its pairs are listed
-    pairs = _scan_pairs(params, cfg.extra.get("limit"), random.Random(cfg.seed))
-    return None, _scan(params, pairs, cfg.jobs)
+    pairs = _scan_pairs(params, ns.limit, random.Random(ns.seed))
+    return None, _scan(params, pairs, ns.jobs)
 
 
 # ------------------------------------------------------------------ contract
@@ -340,8 +317,8 @@ def _contract_checks(indices, res, params):
     ]
 
 
-def _cmd_contract(cfg, params):
-    indices = cfg.extra["indices"]
+def _cmd_contract(ns, params):
+    indices = ns.indices
     res = contract_splus(indices, params)
     item = _item(
         {"indices": indices},
@@ -361,8 +338,8 @@ def _cmd_contract(cfg, params):
 # ------------------------------------------------------------------- weights
 
 
-def _cmd_weights(cfg, params):
-    rho = _build_rho(cfg, params)
+def _cmd_weights(ns, params):
+    rho = _build_rho(ns, params)
     items = []
     chars = []
     for J in subsets_of(params.f):
@@ -416,8 +393,8 @@ def _cycle_outputs(cyc):
     }
 
 
-def _cmd_cycles(cfg, params):
-    rho = _build_rho(cfg, params)
+def _cmd_cycles(ns, params):
+    rho = _build_rho(ns, params)
     cycles, excluded = survey_orbits(rho)
     items = []
     for cyc in cycles:
@@ -498,24 +475,19 @@ def _constant_item(cyc, rho, mode, params):
     )
 
 
-def _cmd_constant(cfg, params):
-    rho = _build_rho(cfg, params)
-    mode = cfg.extra["mode"]
-    start = cfg.extra["cycle_start"]
-    if start is None:
-        cycles = cycles_of(rho)
-    else:
-        cycles = [cycle_from(rho, start)]
-    items = [_constant_item(cyc, rho, mode, params) for cyc in cycles]
+def _cmd_constant(ns, params):
+    rho = _build_rho(ns, params)
+    cycles = cycles_of(rho) if ns.cycle_start is None else [cycle_from(rho, ns.cycle_start)]
+    items = [_constant_item(cyc, rho, ns.mode, params) for cyc in cycles]
     return _rho_json(rho), items
 
 
 # ---------------------------------------------------------------- jh-intersect
 
 
-def _cmd_jh_intersect(cfg, params):
-    rho = _build_rho(cfg, params)
-    V = DLType(cfg.extra["w"], cfg.extra["w_prime"])
+def _cmd_jh_intersect(ns, params):
+    rho = _build_rho(ns, params)
+    V = DLType(ns.w, ns.w_prime)
     subsets = jh_intersect(V, rho)
     constituents = []
     for J in subsets:
@@ -569,12 +541,12 @@ def _selftest_jacobi(params):
     )
 
 
-def _selftest_stickelberger(cfg, params, full):
+def _selftest_stickelberger(ns, params, full):
     q = params.q
     cap = None if q <= 49 else (2000 if full else 200)
-    pairs = _scan_pairs(params, cap, random.Random(cfg.seed + 1))
+    pairs = _scan_pairs(params, cap, random.Random(ns.seed + 1))
     cases = (
-        (it["inputs"], all(c["pass"] for c in it["checks"])) for it in _scan(params, pairs, cfg.jobs)
+        (it["inputs"], all(c["pass"] for c in it["checks"])) for it in _scan(params, pairs, ns.jobs)
     )
     return _item(
         {"pairs": len(pairs), "exhaustive": cap is None or cap >= (q - 2) * (q - 3)},
@@ -584,9 +556,9 @@ def _selftest_stickelberger(cfg, params, full):
     )
 
 
-def _selftest_relations(cfg, params, full):
+def _selftest_relations(ns, params, full):
     q = params.q
-    rng = random.Random(cfg.seed + 2)
+    rng = random.Random(ns.seed + 2)
     if q == 7:
         pairs = [(i, j) for i in range(1, q - 1) for j in range(1, q - 1)]
     else:
@@ -615,8 +587,8 @@ def _selftest_relations(cfg, params, full):
     )
 
 
-def _selftest_contraction(cfg, params, full):
-    rng = random.Random(cfg.seed + 3)
+def _selftest_contraction(ns, params, full):
+    rng = random.Random(ns.seed + 3)
     n = 10 if full else 5
     tuples = [_random_admissible(rng, k, params) for k in (2, 3) for _ in range(n)]
     cases = (
@@ -680,7 +652,7 @@ def _selftest_ps(params):
     )
 
 
-def _selftest_constants(cfg, params, full):
+def _selftest_constants(ns, params, full):
     items = []
     stepwise_ok = params.q <= 49 or full
     mode = "stepwise" if stepwise_ok else "closed"
@@ -692,18 +664,18 @@ def _selftest_constants(cfg, params, full):
     return items
 
 
-def _cmd_selftest(cfg, params):
-    full = cfg.extra["level"] == "full"
-    _, items = _cmd_field_info(cfg, params)
+def _cmd_selftest(ns, params):
+    full = ns.level == "full"
+    _, items = _cmd_field_info(ns, params)
     items.append(_selftest_jacobi(params))
-    items.append(_selftest_stickelberger(cfg, params, full))
-    items.append(_selftest_relations(cfg, params, full))
-    items.append(_selftest_contraction(cfg, params, full))
+    items.append(_selftest_stickelberger(ns, params, full))
+    items.append(_selftest_relations(ns, params, full))
+    items.append(_selftest_contraction(ns, params, full))
     items.append(_selftest_combinatorics(params))
     ps = _selftest_ps(params)
     if ps is not None:
         items.append(ps)
-    items.extend(_selftest_constants(cfg, params, full))
+    items.extend(_selftest_constants(ns, params, full))
     return None, items
 
 
@@ -720,11 +692,12 @@ _HANDLERS = {
 }
 
 
-def run(config):
+def run(ns):
+    """The report of one parsed command line (a build_parser() namespace)."""
     t0 = time.monotonic()
-    params = Params.make(config.p, config.f, N=config.N)
+    params = Params.make(ns.p, ns.f, N=ns.N)
     try:
-        rho_json, items = _HANDLERS[config.command](config, params)
+        rho_json, items = _HANDLERS[ns.command](ns, params)
     except ArithmeticError as e:
         rho_json = None
         items = [
@@ -733,7 +706,7 @@ def run(config):
     npass = sum(1 for it in items for c in it["checks"] if c["pass"])
     nfail = sum(1 for it in items for c in it["checks"] if not c["pass"])
     return Report(
-        command=config.command,
+        command=ns.command,
         params={"p": params.p, "f": params.f, "N": params.N},
         rho=rho_json,
         items=items,
@@ -770,21 +743,31 @@ def _render_text(report):
     return "\n".join(lines) + "\n"
 
 
-def _parse_int_list(text):
-    return tuple(int(x) for x in text.split(",") if x.strip() != "")
+def _ints(parts):
+    try:
+        return tuple(int(x) for x in parts)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected a comma list of integers") from None
 
 
-def _parse_alpha(text):
-    if text is None:
-        return None
-    vals = _parse_int_list(text)
+def _int_list(text):
+    return _ints(x for x in text.split(",") if x.strip() != "")
+
+
+def _alpha(text):
+    vals = _int_list(text)
     return vals[0] if len(vals) == 1 else vals
 
 
-def _parse_subset(text):
-    if text in ("empty", ""):
-        return frozenset()
-    return frozenset(int(x) for x in text.split(","))
+def _cycle_start(text):
+    """None for 'all' (every cycle), else the starting subset."""
+    if text == "all":
+        return None
+    return frozenset() if text in ("empty", "") else frozenset(_ints(text.split(",")))
+
+
+def _word(text):
+    return tuple(x.strip() for x in text.split(","))
 
 
 def build_parser():
@@ -809,9 +792,11 @@ def build_parser():
             required=True,
             choices=["irr", "red", "irreducible", "reducible", "reducible-split"],
         )
-        sp.add_argument("--r", required=True, help="comma list (single value repeats)")
-        sp.add_argument("--alpha", default="1", help="unit, int or comma digit list")
-        sp.add_argument("--alpha-prime", default=None, dest="alpha_prime")
+        sp.add_argument(
+            "--r", type=_int_list, required=True, help="comma list (single value repeats)"
+        )
+        sp.add_argument("--alpha", type=_alpha, default="1", help="unit, int or comma digit list")
+        sp.add_argument("--alpha-prime", type=_alpha, default=None, dest="alpha_prime")
 
     sp = sub.add_parser("field-info", help="field, modulus, generator lift")
     common(sp)
@@ -828,7 +813,7 @@ def build_parser():
 
     sp = sub.add_parser("contract", help="decompose an operator chain")
     common(sp)
-    sp.add_argument("--indices", required=True, help="comma list of exponents")
+    sp.add_argument("--indices", type=_int_list, required=True, help="comma list of exponents")
 
     sp = sub.add_parser("weights", help="weights, characters, component tables")
     common(sp)
@@ -843,6 +828,7 @@ def build_parser():
     rho_args(sp)
     sp.add_argument(
         "--cycle-start",
+        type=_cycle_start,
         default=None,
         dest="cycle_start",
         help="'empty' or comma list; default runs every cycle",
@@ -852,8 +838,8 @@ def build_parser():
     sp = sub.add_parser("jh-intersect", help="constituents cut out by a type")
     common(sp)
     rho_args(sp)
-    sp.add_argument("--w", required=True, help="comma list of id/s")
-    sp.add_argument("--w-prime", required=True, dest="w_prime")
+    sp.add_argument("--w", type=_word, required=True, help="comma list of id/s")
+    sp.add_argument("--w-prime", type=_word, required=True, dest="w_prime")
 
     sp = sub.add_parser("selftest", help="aggregate verification battery")
     common(sp)
@@ -862,58 +848,16 @@ def build_parser():
     return parser
 
 
-def config_from_args(ns):
-    extra = {}
-    if ns.command == "jacobi":
-        extra = {"a": ns.a, "b": ns.b, "convention": ns.convention}
-    elif ns.command == "stickelberger-scan":
-        extra = {"limit": ns.limit}
-    elif ns.command == "contract":
-        extra = {"indices": _parse_int_list(ns.indices)}
-    elif ns.command == "constant":
-        start = None if ns.cycle_start in (None, "all") else _parse_subset(ns.cycle_start)
-        extra = {"cycle_start": start, "mode": ns.mode}
-    elif ns.command == "jh-intersect":
-        w, w_prime = (tuple(x.strip() for x in t.split(",")) for t in (ns.w, ns.w_prime))
-        extra = {"w": w, "w_prime": w_prime}
-    elif ns.command == "selftest":
-        extra = {"level": ns.level}
-
-    kind = getattr(ns, "kind", None)
-    r = None
-    if kind is not None:
-        r = _parse_int_list(ns.r)
-        if len(r) == 1 and ns.f > 1:
-            r = r * ns.f
-    return RunConfig(
-        command=ns.command,
-        p=ns.p,
-        f=ns.f,
-        N=ns.N,
-        kind=kind,
-        r=r,
-        alpha=_parse_alpha(getattr(ns, "alpha", "1")),
-        alpha_prime=_parse_alpha(getattr(ns, "alpha_prime", None)),
-        json_out=ns.json,
-        out=ns.out,
-        seed=ns.seed,
-        jobs=ns.jobs,
-        extra=extra,
-    )
-
-
 def main(argv=None):
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
-        config = config_from_args(ns)
-        report = run(config)
+        report = run(ns)
     except ValueError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
-    text = canonical_json(report.to_json_obj()) if config.json_out else _render_text(report)
-    if config.out:
-        with open(config.out, "w") as fh:
+    text = canonical_json(report.to_json_obj()) if ns.json else _render_text(report)
+    if ns.out:
+        with open(ns.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -8,9 +8,9 @@ convolution, never by algebraic shortcut: the closed formulas live next to
 the numeric route precisely so the two can be compared.
 
 s_operator(i, "S") is the sum of [lambda]^i (lambda 1; 1 0) over units, and
-s_operator(i, "S_plus") the sum of [lambda]^i (1 0; lambda 1); index 0 means
-the augmented operators (antidiagonal + index q-1, resp. identity + index
-q-1).
+s_operator(i, "S_plus") the sum of [lambda]^i (1 0; lambda 1); index 0 sums
+over all of F_q with [0]^0 = 1, the augmented operators (antidiagonal +
+index q-1, resp. identity + index q-1).
 
 Every S+ chain and every S_i S+_j is a product x y with x supported on one
 coset c U- (c = 1 or w) and y on U-, and u-(lambda) u-(mu) = u-(lambda+mu).
@@ -98,10 +98,6 @@ def gl2_inv(g, params):
     )
 
 
-def identity_elem(params):
-    return {GL2_ID: (1,) + (0,) * (params.f - 1)}
-
-
 def ga_add(x, y, params):
     out = dict(x)
     for g, c in y.items():
@@ -132,18 +128,14 @@ def s_operator(i, variant, params):
     i = int(i)
     if not 0 <= i <= q - 1:
         raise ValueError("index must lie in [0, q-1]")
-    if i == 0:
-        base = s_operator(q - 1, variant, params)
-        extra = {GL2_W: (1,) + (0,) * (params.f - 1)} if variant == "S" else identity_elem(params)
-        return ga_add(base, extra, params)
     T = _tables.tables_for(params)
     teich = _tables.teich_by_code(params)
-    out = {}
-    for lam in range(1, q):
-        coeff = teich[T.pow_code(lam, i)]
-        key = (lam, 1, 1, 0) if variant == "S" else (1, 0, lam, 1)
-        out[key] = coeff
-    return out
+    # [lambda]^i over F_q, with [0]^0 = 1: index 0 adds lambda = 0, the term
+    # at w resp. the identity, to index q-1
+    return {
+        ((lam, 1, 1, 0) if variant == "S" else (1, 0, lam, 1)): teich[T.pow_code(lam, i)]
+        for lam in range(0 if i == 0 else 1, q)
+    }
 
 
 def ga_multiply(x, y, params):
@@ -328,7 +320,7 @@ def s_product_closed(i, j, variant, params):
     s0 = s_operator(0, variant, params)
     sign0 = 1 if (i + 1) % 2 == 0 else -1
     signq = q if i % 2 == 0 else -q
-    tail = identity_elem(params) if variant == "S_plus" else {GL2_W: witt_one(params)}
+    tail = {GL2_ID if variant == "S_plus" else GL2_W: witt_one(params)}
     return ga_add(
         scale_vector(s0, witt_from_int(sign0, params), params),
         scale_vector(tail, witt_from_int(signq, params), params),

@@ -236,22 +236,15 @@ def witt_neg(x, params):
 
 
 def witt_mul(x, y, params):
-    m, f, mod = params.pN, params.f, params.modulus
+    f = params.f
     if f == 1:
-        return ((x[0] * y[0]) % m,)
+        return ((x[0] * y[0]) % params.pN,)
     c = [0] * (2 * f - 1)
     for i, xi in enumerate(x):
         if xi:
             for j, yj in enumerate(y):
                 c[i + j] += xi * yj
-    for k in range(2 * f - 2, f - 1, -1):
-        t = c[k] % m
-        if t:
-            base = k - f
-            for i in range(f):
-                c[base + i] -= t * mod[i]
-        c[k] = 0
-    return tuple(v % m for v in c[:f])
+    return witt_fold(c, params)
 
 
 # A Witt tuple packed in t: one integer, coefficient i (reduced mod p^N) in

@@ -244,6 +244,18 @@ class OrbitExcluded(ValueError):
     pass
 
 
+def _orbit(start, kind, f):
+    """The delta orbit of start, in walk order from start."""
+    orbit = [start]
+    cur = delta(start, kind, f)
+    while cur != start:
+        orbit.append(cur)
+        cur = delta(cur, kind, f)
+        if len(orbit) > 2 * f + 1:
+            raise ArithmeticError("orbit failed to close")
+    return orbit
+
+
 def cycle_from(rho, start):
     """Follow delta from a starting subset and validate the resulting cycle."""
     f = rho.params.f
@@ -251,13 +263,7 @@ def cycle_from(rho, start):
     start = frozenset(start)
     if not start <= set(range(f)):
         raise ValueError("cycle start must be a subset of {0..%d}" % (f - 1))
-    orbit = [start]
-    cur = delta(start, rho.kind, f)
-    while cur != start:
-        orbit.append(cur)
-        cur = delta(cur, rho.kind, f)
-        if len(orbit) > 2 * f + 1:
-            raise ArithmeticError("orbit failed to close")
+    orbit = _orbit(start, rho.kind, f)
     k = len(orbit)
     if k == 1:
         raise OrbitExcluded("fixed subset: the next character equals the current one")
@@ -316,11 +322,7 @@ def survey_orbits(rho):
     for J in subsets_of(f):
         if J in seen:
             continue
-        orbit = [J]
-        cur = delta(J, rho.kind, f)
-        while cur != J:
-            orbit.append(cur)
-            cur = delta(cur, rho.kind, f)
+        orbit = _orbit(J, rho.kind, f)
         seen.update(orbit)
         anchor = min(orbit, key=lambda s: subset_mask(s, f))
         try:

@@ -2,12 +2,13 @@ import hashlib
 import json
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from wittcycle import _tables, cli, padic
 from wittcycle.cli import (
-    RunConfig,
     _pool_size,
     _scan_pairs,
     _selftest_stickelberger,
@@ -17,6 +18,8 @@ from wittcycle.cli import (
     run,
 )
 from wittcycle.padic import Params
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _json_report(capsys, argv):
@@ -156,6 +159,35 @@ def test_cycle_start_outside_z_mod_f_exit_2(capsys):
     assert "subset of {0..1}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["weights", "--kind", "irr", "--r", "2,x"], "--r"),
+        (["contract", "--indices", "1,x"], "--indices"),
+        (["constant", "--kind", "irr", "--r", "2", "--cycle-start", "a"], "--cycle-start"),
+    ],
+)
+def test_malformed_list_exit_2_names_flag(argv, flag):
+    # argparse rejects the value, so the message names the flag
+    argv = argv[:1] + ["--p", "7", "--f", "1"] + argv[1:]
+    path = [_SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wittcycle.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert flag in proc.stderr
+
+
+def test_cycle_start_all_is_the_default(capsys):
+    argv = ["constant", "--p", "7", "--f", "2", "--kind", "irr", "--r", "2", "--json"]
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main(argv + ["--cycle-start", "all"]) == 0
+    assert capsys.readouterr().out == default
+
+
 def test_precision_bound_exit_2(capsys):
     assert padic.MAX_N == 256
     assert main(["field-info", "--p", "7", "--f", "1", "--N", "257"]) == 2
@@ -283,8 +315,7 @@ def test_jobs_do_not_change_output(capsys):
 
 
 def test_run_api_direct():
-    config = RunConfig(command="field-info", p=7, f=2)
-    report = run(config)
+    report = run(build_parser().parse_args(["field-info", "--p", "7", "--f", "2"]))
     assert report.summary["fail"] == 0
     assert report.precision == 8
     assert report.params["N"] == 8
@@ -337,8 +368,8 @@ def test_scan_pairs_sample_equals_list_sample(p, f):
 @pytest.mark.parametrize("p, f, exhaustive", [(7, 2, True), (11, 2, False)])
 def test_selftest_stickelberger_exhaustive_flag(p, f, exhaustive):
     # q = 121 quick samples 200 of its 119 * 118 pairs; q = 49 scans all
-    cfg = RunConfig(command="selftest", p=p, f=f, seed=1)
-    item = _selftest_stickelberger(cfg, Params.make(p, f), full=False)
+    ns = build_parser().parse_args(["selftest", "--p", str(p), "--f", str(f), "--seed", "1"])
+    item = _selftest_stickelberger(ns, Params.make(p, f), full=False)
     assert item["inputs"]["exhaustive"] is exhaustive
     assert item["inputs"]["pairs"] == (200 if p == 11 else 47 * 46)
 

@@ -60,6 +60,18 @@ def test_s_operator_support():
         s_operator(1, "T", P71)
 
 
+@pytest.mark.parametrize("q", [7, 49, 343])
+@pytest.mark.parametrize("variant", ["S", "S_plus"])
+def test_s_operator_zero_is_index_q_minus_1_plus_lambda_zero(q, variant):
+    # reference: S_{q-1} plus the lambda = 0 term, the antidiagonal w for S
+    # and the identity for S+
+    params = _KERNEL_FIELDS[q]
+    one = (1,) + (0,) * (params.f - 1)
+    zero_term = {GL2_W if variant == "S" else GL2_ID: one}
+    ref = ga_add(s_operator(q - 1, variant, params), zero_term, params)
+    assert s_operator(0, variant, params) == ref
+
+
 def test_s_is_w_times_s_plus():
     # S_i = w S+_i for every index including the augmented 0
     for i in range(0, P71.q):
