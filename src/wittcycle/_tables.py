@@ -5,7 +5,8 @@ with integer codes instead of coefficient tuples: the code of an element is
 sum(c_i * p^i), so code 0 is 0 and code 1 is 1.  Every nonzero code is a
 unit, a power g^k of the generator.
 
-The production tables are O(q): exp[k] is the code of g^k, dlog inverts it
+The production tables are O(q): exp[k] is the code of g^k, the generator
+search's own walk through the powers of g, dlog inverts it
 (dlog[0] = -1), inv and neg are indexed by code, and the Zech column
 zech[k] = dlog(1 - g^k) (zech[0] = -1, since 1 - g^0 = 0) gives 1 - alpha
 as an exponent.  A product is an exponent sum, so Jacobi sums and the
@@ -47,14 +48,20 @@ class FieldTables:
         elems = [padic.digits(n, p, f) for n in range(q)]
         self.elems = elems
         self.code_of = code_of = {e: i for i, e in enumerate(elems)}
-        self.generator = g = self._find_generator()
+        # g is the least code whose walk of powers has length q - 1, and that
+        # walk is exp; a walk stops at 1 or at q - 1 steps, so no walk loops
         m = q - 1
-        exp = array("l", [1] * m)
-        cur = 1
-        for k in range(1, m):
-            cur = code_of[padic.witt_mul(elems[cur], elems[g], residue)]
-            exp[k] = cur
-        self.exp = exp
+        for g in range(2, q):
+            walk, cur = [1], g
+            while cur != 1 and len(walk) < m:
+                walk.append(cur)
+                cur = code_of[padic.witt_mul(elems[cur], elems[g], residue)]
+            if cur == 1 and len(walk) == m:
+                break
+        else:
+            raise ArithmeticError("no generator found")
+        self.generator = g
+        self.exp = exp = array("l", walk)
         dlog = array("l", [-1] * q)
         for k in range(m):
             dlog[exp[k]] = k
@@ -71,22 +78,6 @@ class FieldTables:
         self.zech = zech
         self._mul = None
         self._add = None
-
-    def _find_generator(self):
-        q, m = self.q, self.q - 1
-        for g in range(2, q):
-            order = 1
-            cur = g
-            while cur != 1:
-                cur = self.code_of[
-                    padic.witt_mul(self.elems[cur], self.elems[g], self.residue)
-                ]
-                order += 1
-                if order > m:
-                    break
-            if order == m:
-                return g
-        raise ArithmeticError("no generator found")
 
     @property
     def mul(self):

@@ -34,14 +34,7 @@ class PrecisionError(ArithmeticError):
 
 
 def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n > 1 and _prime_divisors(n) == [n]
 
 
 def _prime_divisors(n):
@@ -58,41 +51,6 @@ def _prime_divisors(n):
     return out
 
 
-# Dense polynomials over F_p, ascending coefficients, used only for the gcd
-# that certifies the modulus.
-
-def _gf_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _gf_mod(a, m, p):
-    # m monic
-    a = list(a)
-    dm = len(m) - 1
-    for k in range(len(a) - 1, dm - 1, -1):
-        c = a[k] % p
-        if c:
-            for i in range(dm):
-                a[k - dm + i] = (a[k - dm + i] - c * m[i]) % p
-        a[k] = 0
-    return _gf_trim(a[:dm])
-
-
-def _gf_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while _gf_trim(b):
-        if len(b) - 1 == 0:
-            return [1]
-        # reduce a mod b after making b monic
-        inv = pow(b[-1], p - 2, p)
-        b = [(c * inv) % p for c in b]
-        r = _gf_mod(a, b, p)
-        a, b = b, r
-    return a
-
-
 def _is_irreducible(m, p, f):
     if f == 1:
         return True
@@ -101,10 +59,12 @@ def _is_irreducible(m, p, f):
     x = (0, 1) + (0,) * (f - 2)
     if witt_pow(x, p ** f, ring) != x:
         return False
+    # Rabin's test, gcd(m, x^(p^(f/l)) - x) = 1, without a gcd.  x^(p^f) = x
+    # makes the f-th Frobenius the identity, so the ring is reduced, a product
+    # of fields F_(p^d) with d | f, and y is a unit iff y^(p^f - 1) = 1.
     for ell in _prime_divisors(f):
-        d = list(witt_pow(x, p ** (f // ell), ring))
-        d[1] = (d[1] - 1) % p
-        if len(_gf_gcd(list(m), _gf_trim(d), p)) != 1:
+        d = witt_sub(witt_pow(x, p ** (f // ell), ring), x, ring)
+        if witt_pow(d, p ** f - 1, ring) != witt_one(ring):
             return False
     return True
 
@@ -169,7 +129,7 @@ class Params:
         if modulus is None:
             modulus = _default_modulus(p, f)
         else:
-            modulus = tuple(int(c) % p for c in modulus[:-1]) + (1,)
+            modulus = tuple(int(c) % p for c in modulus)
             if len(modulus) != f + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree f")
             if not _is_irreducible(list(modulus), p, f):
@@ -298,18 +258,13 @@ def witt_reduce(x, params):
     return tuple(a % p for a in x)
 
 
-def witt_lift(a, params):
-    """The coefficientwise lift F_q -> W(F_q)/p^N (not multiplicative)."""
-    return tuple(int(c) for c in a)
-
-
 def teichmuller(a, params):
     """The multiplicative lift of a in F_q, fixed point of y -> y^q.
 
     Converges from the coefficientwise lift in at most N iterations because
     y -> y^q contracts p-adic distance on each fiber of the reduction.
     """
-    y = witt_lift(a, params)
+    y = tuple(a)
     q = params.q
     for _ in range(params.N + 1):
         z = witt_pow(y, q, params)
@@ -347,7 +302,7 @@ def witt_inv(x, params):
     v, lead = valuation_and_unit(x, params)
     if v is PRECISION_INF or v > 0:
         raise ZeroDivisionError("not a unit in W(F_q)/p^N")
-    y = witt_lift(witt_pow(lead, params.q - 2, params.residue), params)
+    y = witt_pow(lead, params.q - 2, params.residue)
     # Newton: y -> y(2 - xy) doubles correct digits each step.
     steps = max(1, math.ceil(math.log2(params.N))) + 1
     two = witt_from_int(2, params)

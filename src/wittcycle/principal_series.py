@@ -166,18 +166,20 @@ def ps_act(module, x, v):
     return out
 
 
+def _torus_characters(module):
+    """The q+1 eigenline characters, in the label order of h_components."""
+    swapped = module.chi.swap()
+    return [module.chi, swapped] + [swapped.times_alpha(-j) for j in range(module.params.q - 1)]
+
+
 def h_component_characters(module):
     """The q+1 eigencharacters of the torus action, with multiplicity.
 
     Labels 0 and 1 (the two Borel-fixed lines) carry chi and chi swapped;
     the unit-indexed combinations carry chi swapped times alpha^(-j).
     """
-    chi = module.chi
     out = {}
-    for xi in [chi, chi.swap()]:
-        out[xi] = out.get(xi, 0) + 1
-    for j in range(module.params.q - 1):
-        xi = chi.swap().times_alpha(-j)
+    for xi in _torus_characters(module):
         out[xi] = out.get(xi, 0) + 1
     return out
 
@@ -192,18 +194,13 @@ def h_components(module):
     params = module.params
     T = _tables.tables_for(params)
     teich = _tables.teich_by_code(params)
-    chi = module.chi
     q = params.q
+    vecs = [{0: witt_one(params)}, {1: witt_one(params)}] + [
+        {1 + lam: teich[T.pow_code(lam, j)] for lam in range(1, q)} for j in range(q - 1)
+    ]
     out = {}
-
-    def push(xi, vec):
+    for xi, vec in zip(_torus_characters(module), vecs):
         out.setdefault(xi, []).append(vec)
-
-    push(chi, {0: witt_one(params)})
-    push(chi.swap(), {1: witt_one(params)})
-    for j in range(q - 1):
-        vec = {1 + lam: teich[T.pow_code(lam, j)] for lam in range(1, q)}
-        push(chi.swap().times_alpha(-j), vec)
     return out
 
 

@@ -284,6 +284,11 @@ _REPORT_DIGESTS = [
      "00575d2c9d5f56f12a500cc5c3892c2d26290ab02ba45e5b818540cf0afb9527"),
     ("constant --p 7 --f 3 --kind red --r 2 --alpha 3 --alpha-prime 5 --mode closed",
      "4efe45f569b6769d82768f7ad98e5ef91777386a58720be4f961872789e58c21"),
+    # the default moduli and generators at f = 3 and 4
+    ("field-info --p 7 --f 4",
+     "8162fae8fcdde17e4f49b8addcdeaa24613910df2fca430a6c4678bbda35c3a2"),
+    ("field-info --p 11 --f 3",
+     "b008ccca4458ef57b4d8c38d5f7be37be5d84816b9116c0f971b038906c7f56a"),
 ]
 
 

@@ -46,6 +46,13 @@ def test_params_validation():
         Params.make(7, 2, modulus=(6, 0, 1))  # x^2 + 6 = (x-1)(x+1) mod 7
 
 
+def test_params_refuses_non_monic_modulus():
+    # 3x^2 + 1 is not monic; it must not be read as x^2 + 1
+    with pytest.raises(ValueError, match="monic"):
+        Params.make(7, 2, modulus=(1, 0, 3))
+    assert Params.make(7, 2, modulus=(8, -7, 15)).modulus == (1, 0, 1)
+
+
 def test_params_refuses_large_q_first(monkeypatch):
     def no_prime_test(n):
         raise AssertionError("the q guard must run before the primality test")
@@ -72,13 +79,25 @@ def _mobius(n):
     return -out if n > 1 else out
 
 
-@pytest.mark.parametrize("f", [2, 3])
+@pytest.mark.parametrize("f", [2, 3, 4, 6])
 def test_irreducible_count_matches_necklace_formula(f):
-    # monic irreducibles of degree f over F_p: (1/f) sum_{d | f} mu(d) p^(f/d)
-    p = 7
+    # monic irreducibles of degree f over F_p: (1/f) sum_{d | f} mu(d) p^(f/d);
+    # at f = 6 the unit test runs for two primes, 2 and 3
+    p, count = {2: (7, 21), 3: (7, 112), 4: (7, 588), 6: (3, 116)}[f]
     found = sum(_is_irreducible(list(padic.digits(n, p, f)) + [1], p, f) for n in range(p**f))
     want = sum(_mobius(d) * p ** (f // d) for d in range(1, f + 1) if f % d == 0) // f
-    assert found == want == {2: 21, 3: 112}[f]
+    assert found == want == count
+
+
+def test_irreducible_unit_test_rejects_split_modulus():
+    # m = x (x^2 + 1)(x^3 + 2x + 1) over F_3: F_3[x]/(m) = F_3 x F_9 x F_27,
+    # so x^(3^6) = x but neither x^(3^3) - x nor x^(3^2) - x is a unit there
+    m = [0, 1, 2, 1, 0, 0, 1]
+    ring = Params(3, 6, 1, tuple(m))
+    x = (0, 1, 0, 0, 0, 0)
+    assert witt_pow(x, 3**6, ring) == x
+    assert witt_pow(x, 3**3, ring) != x and witt_pow(x, 3**2, ring) != x
+    assert not _is_irreducible(m, 3, 6)
 
 
 def test_modulus_is_certified_irreducible():
