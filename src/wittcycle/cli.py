@@ -39,7 +39,6 @@ from wittcycle.padic import (
     teichmuller,
     valuation_and_unit,
     witt_from_int,
-    witt_mul,
     witt_neg,
     witt_one,
     witt_pow,
@@ -66,7 +65,6 @@ from wittcycle.weights import (
     iplus_of_step,
     jh_intersect,
     make_rho,
-    normalize_kind,
     serre_weight_of,
     sigma_J_table,
     subsets_of,
@@ -82,7 +80,6 @@ class Report:
     items: list
     summary: dict
     elapsed: float
-    precision: int
 
     def to_json_obj(self):
         # elapsed stays out of the schema so reports are reproducible
@@ -428,13 +425,6 @@ def _cmd_cycles(ns, params):
 # ------------------------------------------------------------------ constant
 
 
-def _theorem_applicable(rho, params):
-    kind = normalize_kind(rho.kind)
-    if kind == IRREDUCIBLE:
-        return rho.alpha == witt_one(params.residue)
-    return witt_mul(rho.alpha, rho.alpha_prime, params.residue) == witt_one(params.residue)
-
-
 def _constant_item(cyc, rho, mode, params):
     try:
         rep = breuil_constant(cyc, rho, mode, params)
@@ -465,8 +455,9 @@ def _constant_item(cyc, rho, mode, params):
     checks = [_check("valuation ledger cancels", 0, sum(v for _, v in rep.valuation_ledger))]
     if mode == "stepwise":
         checks.append(_check("routes agree", rep.g_closed, rep.g_stepwise))
-    if _theorem_applicable(rho, params):
-        checks.append(_check("theorem form", theorem_form(rep, rho, params), rep.g_closed))
+    form = theorem_form(rep, rho, params)
+    if form is not None:
+        checks.append(_check("theorem form", form, rep.g_closed))
     return _item(
         {"start": cyc.subsets[0], "mode": mode},
         outputs,
@@ -712,7 +703,6 @@ def run(ns):
         items=items,
         summary={"pass": npass, "fail": nfail},
         elapsed=time.monotonic() - t0,
-        precision=params.N,
     )
 
 
@@ -738,7 +728,7 @@ def _render_text(report):
             lines.append(line)
     lines.append(
         "summary: %d passed, %d failed (%.2fs, N=%d)"
-        % (report.summary["pass"], report.summary["fail"], report.elapsed, report.precision)
+        % (report.summary["pass"], report.summary["fail"], report.elapsed, report.params["N"])
     )
     return "\n".join(lines) + "\n"
 

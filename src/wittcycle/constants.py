@@ -4,9 +4,10 @@ The stepwise route multiplies out exchange constants and a group-algebra
 contraction numerically.  The closed route substitutes into the product
 formulas (per-step valuations f - |sym diff|, the factorial leading term
 of the contraction, the two cycle-product signs, and the normalized
-operator-product monomial).  Both end in a unit of F_q; disagreement
-anywhere aborts with a full audit dump, which is the point of having two
-routes.
+operator-product monomial).  Both end in a unit of F_q, and any
+disagreement raises: a step's from ctilde_product, naming the step, and
+one of the assembled pieces with a full audit dump.  Catching it is the
+point of having two routes.
 """
 
 from dataclasses import dataclass
@@ -31,7 +32,6 @@ from wittcycle.padic import (
 from wittcycle.principal_series import PSModule, exchange_constant, exchange_vectors
 from wittcycle.weights import (
     IRREDUCIBLE,
-    REDUCIBLE,
     delta,
     formal_weight_of,
     fw_apply,
@@ -82,24 +82,18 @@ def up_product(cycle, rho):
     return UpMonomial(sign, p_power, alpha_exp, alpha_prime_exp)
 
 
-def beta_by_bruteforce(cycle, params):
-    """Contract the cycle's step-exponent chain and audit its valuation.
-
-    The chain is traversed in reversed orientation (entry t is step
+def _chain(cycle):
+    """The cycle's step exponents in reversed orientation (entry t is step
     k-1-t); the contraction does not depend on the order since the
-    operators commute.  The valuation must come out to half of k times
-    the symmetric difference size.
-    """
+    operators commute."""
     k = cycle.k
-    indices = tuple(cycle.iplus[(k - 1 - t) % k] for t in range(1, k + 1))
-    res = contract_splus(indices, params)
-    want = k * cycle.sym_diff_size // 2
-    if res.v_beta != want:
-        raise ArithmeticError(
-            "contraction valuation %s differs from k|sym diff|/2 = %d"
-            % (res.v_beta, want)
-        )
-    return res
+    return tuple(cycle.iplus[(k - 1 - t) % k] for t in range(1, k + 1))
+
+
+def beta_by_bruteforce(cycle, params):
+    """Contract the cycle's step-exponent chain; breuil_constant's ledger
+    audits the valuation."""
+    return contract_splus(_chain(cycle), params)
 
 
 def step_lead_formula(J, rho):
@@ -226,12 +220,6 @@ class ConstantReport:
     steps: tuple = None
 
 
-def _lead_to_int(lead, params):
-    if any(lead[1:]):
-        raise ArithmeticError("leading digit is not a prime-field scalar")
-    return lead[0] % params.p
-
-
 def breuil_constant(cycle, rho, mode, params, cache=None):
     """The cycle's diagram constant, by formulas, or by both routes.
 
@@ -245,7 +233,6 @@ def breuil_constant(cycle, rho, mode, params, cache=None):
     """
     if mode not in ("stepwise", "closed"):
         raise ValueError("mode must be stepwise or closed")
-    kind = normalize_kind(rho.kind)
     p, f, fq = params.p, params.f, params.residue
     k, D = cycle.k, cycle.sym_diff_size
     up = up_product(cycle, rho)
@@ -255,19 +242,16 @@ def breuil_constant(cycle, rho, mode, params, cache=None):
         witt_pow(rho.alpha_prime, up.alpha_prime_exp, fq),
         fq,
     )
-    if kind == IRREDUCIBLE and (k // 2) % 2:
-        alpha_factor = witt_mul(alpha_factor, witt_from_int(-1, fq), fq)
+    # up.sign beyond sign_kd is the (-1)^{k/2} of [-alpha]^{k/2}: a unit factor
+    if up.sign != sign_kd:
+        alpha_factor = witt_neg(alpha_factor, fq)
 
-    indices = tuple(cycle.iplus[(k - 1 - t) % k] for t in range(1, k + 1))
+    indices = _chain(cycle)
     v_formula = contraction_valuation(indices, params)
-    if v_formula != k * D // 2:
-        raise ArithmeticError("digit-count valuation differs from k|sym diff|/2")
     lead_beta_closed = contraction_lead(indices, params)
     ct_closed = ctilde_closed(cycle)
 
-    epsilon = lead_beta_closed if sign_kd == 1 else (-lead_beta_closed) % p
-    if kind == REDUCIBLE and k % 2:
-        epsilon = (-epsilon) % p
+    epsilon = ct_closed * sign_kd * lead_beta_closed % p
     if epsilon not in (1, p - 1):
         raise ArithmeticError("epsilon sign is not +-1")
 
@@ -292,7 +276,7 @@ def breuil_constant(cycle, rho, mode, params, cache=None):
 
     sign_alpha = witt_mul(witt_from_int(sign_kd, fq), alpha_factor, fq)
     g = witt_mul(witt_mul(ct_lead, lead_beta, fq), sign_alpha, fq)
-    g_closed = witt_mul(witt_from_int(ct_closed * lead_beta_closed, fq), sign_alpha, fq)
+    g_closed = witt_mul(witt_from_int(epsilon, fq), alpha_factor, fq)
     ledger = [("beta_valuation", v_beta), ("up_p_power", -(k * D) // 2)]
     for t, v in enumerate(step_valuations):
         ledger.append(("step_%d_valuation" % t, v))
@@ -306,18 +290,17 @@ def breuil_constant(cycle, rho, mode, params, cache=None):
         "epsilon_sign": 1 if epsilon == 1 else -1,
     }
 
+    # g = ct_lead * lead_beta * sign_alpha and g_closed = epsilon * alpha_factor,
+    # so the lead and ctilde problems cover g != g_closed
     problems = []
     if sum(v for _, v in ledger):
         problems.append("valuation ledger does not cancel")
-    lead_beta_num = _lead_to_int(lead_beta, params)
-    if lead_beta_num != lead_beta_closed:
-        problems.append(
-            "beta lead: numeric %d vs formula %d" % (lead_beta_num, lead_beta_closed)
-        )
+    if v_beta != v_formula:
+        problems.append("beta valuation: numeric %s vs formula %d" % (v_beta, v_formula))
+    if lead_beta != witt_from_int(lead_beta_closed, fq):
+        problems.append("beta lead: numeric %s vs formula %d" % (lead_beta, lead_beta_closed))
     if ct_lead != witt_from_int(ct_closed, fq):
         problems.append("ctilde product: numeric %s vs sign %d" % (ct_lead, ct_closed))
-    if g != g_closed:
-        problems.append("g mismatch: stepwise %s vs closed %s" % (g, g_closed))
     if problems:
         lines = ["route disagreement for cycle %s:" % (cycle.subsets,)]
         lines += ["  " + msg for msg in problems]
@@ -339,11 +322,15 @@ def theorem_form(report, rho, params):
     """The unit the assembled g must equal when det at p is normalized.
 
     Irreducible with alpha = 1: epsilon * (-1)^{k/2}; split reducible with
-    alpha' the inverse of alpha: epsilon * alpha^{(|J^c|-|J|)k/f}.
+    alpha' the inverse of alpha: epsilon * alpha^{(|J^c|-|J|)k/f}.  None
+    when rho is outside that hypothesis.
     """
     kind = normalize_kind(rho.kind)
     cycle = report.cycle
     k, f, fq = cycle.k, params.f, params.residue
+    unit = rho.alpha if kind == IRREDUCIBLE else witt_mul(rho.alpha, rho.alpha_prime, fq)
+    if unit != witt_one(fq):
+        return None
     eps = witt_from_int(report.pieces["epsilon_sign"], fq)
     if kind == IRREDUCIBLE:
         sign = witt_from_int(1 if (k // 2) % 2 == 0 else -1, fq)

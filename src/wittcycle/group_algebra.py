@@ -49,7 +49,6 @@ from operator import add, sub
 from wittcycle import _tables
 from wittcycle.jacobi import factorial_mod_p, jacobi_sum
 from wittcycle.padic import (
-    MAX_ESCALATIONS,
     PRECISION_INF,
     digits,
     escalate,
@@ -379,34 +378,22 @@ def contract_splus(indices, params):
     """
     indices = tuple(int(i) for i in indices)
     check_contract_pre(indices, params)
-    return escalate(
-        lambda work: _contract_once(indices, work), params, MAX_ESCALATIONS, "contraction valuations"
-    )
+    return escalate(lambda work: _contract_once(indices, work), params, "contraction valuations")
 
 
 def _contract_once(indices, params):
     prod = s_operator(indices[0], "S_plus", params)
     for i in indices[1:]:
         prod = u_convolve(prod, s_operator(i, "S_plus", params), params)
-    q = params.q
-    alpha = None
-    seen = 0
-    for g, coeff in prod.items():
-        if g == GL2_ID:
-            continue
-        if not (g[0] == 1 and g[1] == 0 and g[3] == 1 and g[2] != 0):
-            raise ArithmeticError("product support left the unipotent cell")
-        seen += 1
-        if alpha is None:
-            alpha = coeff
-        elif coeff != alpha:
-            raise ArithmeticError("unipotent coefficients disagree")
-    if seen == 0:
-        alpha = witt_zero(params)
-    elif seen != q - 1:
-        # some coefficients were dropped as 0 while others were not
-        raise ArithmeticError("unipotent coefficients disagree")
+    # alpha is read at u-(1) and c_id at the identity; the product must be
+    # alpha on every u-(lam), lam != 0, plus c_id at the identity, nothing else
+    alpha = prod.get((1, 0, 1, 1), witt_zero(params))
     c_id = prod.get(GL2_ID, witt_zero(params))
+    want = {(1, 0, lam, 1): alpha for lam in range(1, params.q)} if any(alpha) else {}
+    if any(c_id):
+        want[GL2_ID] = c_id
+    if prod != want:
+        raise ArithmeticError("product is not alpha on the unipotent cell plus the identity")
     beta = witt_sub(c_id, alpha, params)
     v_b, lead_b = valuation_and_unit(beta, params)
     v_a, lead_a = valuation_and_unit(alpha, params)

@@ -149,15 +149,15 @@ def raise_precision(params):
 MAX_ESCALATIONS = 6
 
 
-def escalate(attempt, params, max_escalations, what):
+def escalate(attempt, params, what):
     """The first result of attempt(work) that is not None, work rising in N.
 
     attempt is tried at params, then at each raise_precision of the last
-    context, max_escalations times in all; after that the escalation gives
+    context, MAX_ESCALATIONS times in all; after that the escalation gives
     up with PrecisionError naming what was unresolved.
     """
     work = params
-    for _ in range(max_escalations):
+    for _ in range(MAX_ESCALATIONS):
         res = attempt(work)
         if res is not None:
             return res

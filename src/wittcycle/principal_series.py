@@ -51,7 +51,6 @@ from dataclasses import dataclass
 from wittcycle import _tables
 from wittcycle.group_algebra import GL2_ID, GL2_W, gl2_inv, s_operator, scale_vector, u_convolve
 from wittcycle.padic import (
-    MAX_ESCALATIONS,
     escalate,
     witt_add,
     witt_mul,
@@ -290,10 +289,7 @@ def exchange_constant(psi_s, i_psi, params):
             "target character has multiplicity %d in the induced module" % mult
         )
     i_plus = q - 1 - i_psi
-    c, used = escalate(
-        lambda work: _exchange_once(psi_s, i_psi, work), params, MAX_ESCALATIONS,
-        "exchange constant",
-    )
+    c, used = escalate(lambda work: _exchange_once(psi_s, i_psi, work), params, "exchange constant")
     return c, i_plus, used
 
 

@@ -259,7 +259,6 @@ def _orbit(start, kind, f):
 def cycle_from(rho, start):
     """Follow delta from a starting subset and validate the resulting cycle."""
     f = rho.params.f
-    q = rho.params.q
     start = frozenset(start)
     if not start <= set(range(f)):
         raise ValueError("cycle start must be a subset of {0..%d}" % (f - 1))
@@ -272,17 +271,15 @@ def cycle_from(rho, start):
     # step exponents nonzero mod q-1, which the contraction step relies on
     if len(set(chars)) != k:
         raise ArithmeticError("orbit characters are not pairwise distinct")
-    sizes = {len(J ^ delta(J, rho.kind, f)) for J in orbit}
-    if len(sizes) != 1:
-        raise ArithmeticError("symmetric difference size varies along the orbit")
-    sym = sizes.pop()
+    # delta maps the boundary changes of J onto those of delta(J), so the
+    # symmetric difference size is the same at every step
+    sym = len(start ^ delta(start, rho.kind, f))
     digits = []
     values = []
     degenerate = []
     for t in range(k):
+        # k >= 2 and distinct characters: no step repeats its character
         nxt = chars[(t + 1) % k]
-        if nxt == chars[t]:
-            raise OrbitExcluded("step %d repeats its character" % t)
         dg = iplus_of_step(orbit[t], rho)
         val = digits_value(dg, rho.params.p)
         # digit values stay strictly inside (0, q-1), so no wrap case here
@@ -291,16 +288,10 @@ def cycle_from(rho, start):
         digits.append(dg)
         values.append(val)
         degenerate.append(nxt == chars[t].swap())
-    # proper prefix sums never vanish mod q-1, the full sum does
-    acc = 0
-    for t in range(k):
-        acc += values[t]
-        if t < k - 1 and acc % (q - 1) == 0:
-            raise ArithmeticError("proper prefix of step exponents vanished mod q-1")
-    if acc % (q - 1):
-        raise ArithmeticError("full sum of step exponents is nonzero mod q-1")
-    if rho.kind == IRREDUCIBLE and k % 2:
-        raise ArithmeticError("irreducible orbit of odd length")
+    # chars[t+1] = chars[0] * alpha^(iplus[0] + ... + iplus[t]) by the shift
+    # check, so distinct characters make every proper prefix sum nonzero
+    # mod q-1 and the full sum zero.  An irreducible orbit has even length:
+    # delta^f is the complement there, so k divides 2f but not f.
     return CycleData(
         tuple(orbit),
         k,

@@ -25,7 +25,6 @@ from wittcycle.cli import (
     _scan_pairs,
     _selftest_jacobi,
     _shift_identities,
-    _theorem_applicable,
 )
 from wittcycle.constants import (
     breuil_constant,
@@ -415,8 +414,7 @@ def test_criterion_10_end_to_end():
                         assert rep.g_closed == witt_mul(
                             eps, rep.pieces["alpha_factor"], params.residue
                         )
-                        if _theorem_applicable(rho, params):
-                            assert theorem_form(rep, rho, params) == rep.g_closed
+                        assert theorem_form(rep, rho, params) in (None, rep.g_closed)
                         for t in range(1, cyc.k):
                             rot = rotate_cycle(cyc, t, rho)
                             closed = breuil_constant(rot, rho, "closed", params)

@@ -1,8 +1,9 @@
+import dataclasses
 import sys
 
 import pytest
 
-from wittcycle import _tables, principal_series
+from wittcycle import _tables, constants, principal_series
 from wittcycle.cli import main
 from wittcycle.group_algebra import contraction_lead
 from wittcycle.padic import Params, witt_from_int, witt_mul
@@ -244,6 +245,49 @@ def test_p11_round_trip():
     rep = breuil_constant(cyc, rho, "stepwise", P11)
     assert rep.g_stepwise == rep.g_closed
     assert theorem_form(rep, rho, P11) == rep.g_closed
+
+
+def test_theorem_form_needs_its_hypothesis():
+    # alpha != 1 (irr) and alpha * alpha' != 1 (red) lie outside the theorem
+    rho_irr = make_rho("irr", (2,), 3, P7)
+    rep = breuil_constant(_only_cycle(rho_irr), rho_irr, "closed", P7)
+    assert theorem_form(rep, rho_irr, P7) is None
+    rho_red = make_rho("red", (2, 2), 3, P7F2, alpha_prime=1)
+    rep = breuil_constant(_only_cycle(rho_red), rho_red, "closed", P7F2)
+    assert theorem_form(rep, rho_red, P7F2) is None
+
+
+def _disagreement(rho, mode):
+    with pytest.raises(ArithmeticError) as exc:
+        breuil_constant(_only_cycle(rho), rho, mode, P7F2)
+    msg = str(exc.value)
+    assert msg.startswith("route disagreement"), msg
+    return msg
+
+
+@pytest.mark.parametrize(
+    "mode, problem",
+    [("closed", "valuation ledger does not cancel"), ("stepwise", "beta valuation")],
+)
+def test_digit_count_valuation_mutant_is_caught(monkeypatch, mode, problem):
+    # the closed route's v(beta) off by one: the ledger catches it in closed
+    # mode, the numeric-vs-formula comparison in stepwise mode
+    real = constants.contraction_valuation
+    monkeypatch.setattr(constants, "contraction_valuation", lambda ix, pr: real(ix, pr) + 1)
+    for rho in (RHO_IRR_F2, RHO_RED_F2):
+        assert problem in _disagreement(rho, mode)
+
+
+def test_numeric_valuation_mutant_is_caught_by_the_ledger(monkeypatch):
+    real = constants.contract_splus
+
+    def mutant(indices, params):
+        res = real(indices, params)
+        return dataclasses.replace(res, v_beta=res.v_beta + 1)
+
+    monkeypatch.setattr(constants, "contract_splus", mutant)
+    for rho in (RHO_IRR_F2, RHO_RED_F2):
+        assert "valuation ledger does not cancel" in _disagreement(rho, "stepwise")
 
 
 def test_bad_mode_rejected():

@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from wittcycle import group_algebra
 from wittcycle._tables import tables_for
 from wittcycle.cli import _contract_checks
 from wittcycle.group_algebra import (
@@ -20,7 +21,7 @@ from wittcycle.group_algebra import (
     s_product_closed,
     u_convolve,
 )
-from wittcycle.padic import Params, witt_add, witt_mul, witt_neg, witt_sub
+from wittcycle.padic import Params, witt_add, witt_mul, witt_neg, witt_one, witt_sub
 
 P71 = Params.make(7, 1, N=5)
 P72 = Params.make(7, 2)
@@ -180,6 +181,32 @@ def test_contract_escalates_precision():
     r = contract_splus((4, 2), low)
     assert r.params.N > 1
     assert (r.v_beta, r.lead_beta) == (1, (1,))
+
+
+def _perturb(x, params):
+    key = max(g for g in x if g[2] != 1)
+    return {**x, key: witt_add(x[key], witt_one(params), params)}
+
+
+def _drop(x, params):
+    key = max(g for g in x if g[2] != 1)
+    return {g: c for g, c in x.items() if g != key}
+
+
+def _stray(x, params):
+    return {**x, GL2_W: witt_one(params)}
+
+
+@pytest.mark.parametrize("mutate", [_perturb, _drop, _stray])
+def test_contract_rejects_a_product_off_its_shape(monkeypatch, mutate):
+    # the product must be one alpha on every u-(lam), lam != 0, plus the
+    # identity; one wrong, missing or stray coefficient breaks that
+    real = group_algebra.u_convolve
+    monkeypatch.setattr(
+        group_algebra, "u_convolve", lambda x, y, params: mutate(real(x, y, params), params)
+    )
+    with pytest.raises(ArithmeticError):
+        contract_splus((5, 43), P72)
 
 
 def test_result_type_fields():

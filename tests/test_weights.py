@@ -203,18 +203,25 @@ def test_survey_counts():
 
 
 def test_cycle_step_consistency():
-    # every step satisfies the digit rule and matches the character shift
-    for params in (P7F2, P7F3, P11F2):
+    # every step satisfies the digit rule and matches the character shift;
+    # the invariants that follow from it are asserted here, not at run time
+    for params in (P7F2, P7F3, P11F2, Params.make(7, 4), Params.make(11, 3)):
+        q = params.q
         for kind in (REDUCIBLE, IRREDUCIBLE):
             rho = _rho(kind, params)
             for cyc in cycles_of(rho):
                 for t in range(cyc.k):
+                    J = cyc.subsets[t]
                     nxt = cyc.chars[(t + 1) % cyc.k]
                     n = exponent_shift(cyc.chars[t], nxt)
-                    assert n == cyc.iplus[t] % (params.q - 1)
-                    digits = iplus_of_step(cyc.subsets[t], rho)
+                    assert n == cyc.iplus[t] % (q - 1)
+                    digits = iplus_of_step(J, rho)
                     assert digits_value(digits, params.p) == cyc.iplus[t]
                     assert cyc.degenerate[t] == (nxt == cyc.chars[t].swap())
+                    assert len(J ^ delta(J, kind, params.f)) == cyc.sym_diff_size
+                prefix = [sum(cyc.iplus[: t + 1]) % (q - 1) for t in range(cyc.k)]
+                assert all(prefix[:-1]) and prefix[-1] == 0
+                assert kind == REDUCIBLE or cyc.k % 2 == 0
 
 
 def test_rotation_preserves_orbit():
