@@ -17,7 +17,6 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from wittcycle._tables import tables_for
@@ -284,6 +283,9 @@ def _scan(params, pairs, jobs):
     if len(tasks) < 2:
         parts = map(_scan_chunk, tasks)
     else:
+        # imported here, so a run that starts no worker never loads it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
             parts = list(pool.map(_scan_chunk, tasks))
     return [it for part in parts for it in part]
@@ -497,10 +499,16 @@ def _cmd_jh_intersect(ns, params):
 # ------------------------------------------------------------------ selftest
 
 
-def _relation_holds(i, j, variant, params):
-    """The kernel's S_i S+_j (variant "S") or S+_i S+_j against its closed form."""
-    lhs = u_convolve(s_operator(i, variant, params), s_operator(j, "S_plus", params), params)
-    return lhs == s_product_closed(i, j, variant, params)
+def _relation_holds(i, j, variant, prod, params):
+    """S+_i S+_j (variant "S_plus") or S_i S+_j ("S") against its closed form,
+    given the kernel's prod = S+_i S+_j.
+
+    S_i = w S+_i, so S_i S+_j is the left translate w prod: w u-(lam) is
+    (lam 1; 1 0), with the identity going to w, and each coefficient stays.
+    """
+    if variant == "S":
+        prod = {(lam, 1, 1, 0): c for (_, _, lam, _), c in prod.items()}
+    return prod == s_product_closed(i, j, variant, params)
 
 
 def _random_admissible(rng, k, params):
@@ -555,10 +563,14 @@ def _selftest_relations(ns, params, full):
     else:
         n = 300 if full else 50
         pairs = [(rng.randrange(1, q - 1), rng.randrange(1, q - 1)) for _ in range(n)]
-    relations = (
-        ({"i": i, "j": j}, all(_relation_holds(i, j, v, params) for v in ("S_plus", "S")))
-        for i, j in pairs
-    )
+
+    def relation(i, j):
+        # one kernel product serves both variants; the S check runs only if
+        # the S+ check passes
+        prod = u_convolve(s_operator(i, "S_plus", params), s_operator(j, "S_plus", params), params)
+        return all(_relation_holds(i, j, v, prod, params) for v in ("S_plus", "S"))
+
+    relations = (({"i": i, "j": j}, relation(i, j)) for i, j in pairs)
 
     def commutes():
         i, j = rng.randrange(1, q - 1), rng.randrange(1, q - 1)

@@ -12,8 +12,10 @@ s_operator(i, "S_plus") the sum of [lambda]^i (1 0; lambda 1); index 0 sums
 over all of F_q with [0]^0 = 1, the augmented operators (antidiagonal +
 index q-1, resp. identity + index q-1).
 
-Every S+ chain and every S_i S+_j is a product x y with x supported on one
-coset c U- (c = 1 or w) and y on U-, and u-(lambda) u-(mu) = u-(lambda+mu).
+Every S+ chain is a product x y with x and y supported on U-, and
+u-(lambda) u-(mu) = u-(lambda+mu).  u_convolve also accepts x on the coset
+wU-, landing on wU-, though no program route calls it there: the selftest
+reads S_i S+_j as the left translate w (S+_i S+_j).
 u_convolve multiplies such a pair as an additive convolution over (Z/p)^f by
 Kronecker substitution.  Each operand is packed into one integer, one slot
 per (field digit vector, t-degree), each slot wide enough in decimal digits

@@ -17,9 +17,17 @@ from wittcycle.cli import (
     main,
     run,
 )
-from wittcycle.padic import Params
+from wittcycle.group_algebra import s_operator, scale_vector, u_convolve
+from wittcycle.padic import Params, witt_add, witt_from_int, witt_one
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _python(*args):
+    """A fresh interpreter run with the package's src first on the path."""
+    path = [_SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 def _json_report(capsys, argv):
@@ -170,11 +178,7 @@ def test_cycle_start_outside_z_mod_f_exit_2(capsys):
 def test_malformed_list_exit_2_names_flag(argv, flag):
     # argparse rejects the value, so the message names the flag
     argv = argv[:1] + ["--p", "7", "--f", "1"] + argv[1:]
-    path = [_SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "wittcycle.cli", *argv], capture_output=True, text=True, env=env
-    )
+    proc = _python("-m", "wittcycle.cli", *argv)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert flag in proc.stderr
@@ -266,9 +270,12 @@ def test_unresolved_valuation_is_a_failing_check(capsys, argv):
     assert rep["summary"]["fail"] > 0
 
 
-# sha256 of nine quick --json reports, pinned so that a change meant to keep
-# the output byte for byte is checked on every test run
+# sha256 of ten --json reports, all quick but one at the full level, pinned so
+# that a change meant to keep the output byte for byte is checked on every
+# test run
 _REPORT_DIGESTS = [
+    ("selftest --p 7 --f 2 --level full --seed 3",
+     "102e9fb37c7a2cd72f62b9f2cedd4756d8e37fa771e7c95937b2fd4934790623"),
     ("selftest --p 7 --f 1 --seed 3",
      "a4c01675c859a62c055e028899917c29459600e29029285ef240b9e9b04f992d"),
     ("selftest --p 7 --f 2 --seed 1",
@@ -317,6 +324,13 @@ def test_jobs_do_not_change_output(capsys):
     main(base + ["--jobs", "2"])
     parallel = capsys.readouterr().out
     assert serial == parallel
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only a scan split over workers imports concurrent.futures
+    proc = _python("-c", "import sys, wittcycle.cli; print('concurrent.futures' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_run_api_direct():
@@ -389,3 +403,67 @@ def test_pool_size_is_clamped(monkeypatch):
     assert _pool_size(4, 0) == 1
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert _pool_size(8, 8) == 1
+
+
+def _relation_checks(p, f):
+    ns = build_parser().parse_args(["selftest", "--p", str(p), "--f", str(f), "--seed", "1"])
+    item = cli._selftest_relations(ns, Params.make(p, f), full=False)
+    return item["inputs"]["pairs"], {c["name"]: c for c in item["checks"]}
+
+
+def test_relation_check_catches_a_wrong_s_boundary_form(monkeypatch):
+    closed = cli.s_product_closed
+
+    def without_qw(i, j, variant, params):
+        # the S form at i + j = 0 mod q-1 with its q w term dropped
+        if variant == "S" and (i + j) % (params.q - 1) == 0:
+            sign0 = witt_from_int(-1 if i % 2 == 0 else 1, params)
+            return scale_vector(s_operator(0, "S", params), sign0, params)
+        return closed(i, j, variant, params)
+
+    monkeypatch.setattr(cli, "s_product_closed", without_qw)
+    _, checks = _relation_checks(7, 1)
+    assert checks["products reduce to jacobi multiples"]["got"] == {
+        "failures": 5,
+        "first": {"i": 1, "j": 5},
+    }
+    assert checks["s-plus family commutes"]["pass"]
+
+
+def test_relation_check_catches_a_perturbed_kernel_coefficient(monkeypatch):
+    params = Params.make(7, 1)
+    prod = u_convolve(s_operator(2, "S_plus", params), s_operator(3, "S_plus", params), params)
+    key = min(prod)
+    bad = dict(prod)
+    bad[key] = witt_add(prod[key], witt_one(params), params)
+    for variant in ("S_plus", "S"):
+        assert cli._relation_holds(2, 3, variant, prod, params)
+        assert not cli._relation_holds(2, 3, variant, bad, params)
+
+    kernel = cli.u_convolve
+
+    def perturbed(x, y, params):
+        out = kernel(x, y, params)
+        k = min(out)
+        out[k] = witt_add(out[k], witt_one(params), params)
+        return out
+
+    monkeypatch.setattr(cli, "u_convolve", perturbed)
+    pairs, checks = _relation_checks(7, 1)
+    assert checks["products reduce to jacobi multiples"]["got"]["failures"] == pairs
+
+
+def test_relation_check_multiplies_each_pair_once(monkeypatch):
+    calls = []
+    kernel = cli.u_convolve
+
+    def counted(x, y, params):
+        calls.append(None)
+        return kernel(x, y, params)
+
+    monkeypatch.setattr(cli, "u_convolve", counted)
+    pairs, checks = _relation_checks(7, 2)
+    # one kernel product per sampled pair, plus the 20 commute products
+    assert pairs == 50
+    assert len(calls) == pairs + 20
+    assert all(c["pass"] for c in checks.values())
