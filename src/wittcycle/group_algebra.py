@@ -26,10 +26,12 @@ any rounding.  The product's text is cut into slots by struct and int one
 block of the outermost field digit at a time, so at most two blocks are
 parsed at once.  Field digits are folded mod p by adding whole slices of
 slots, outermost digit first, and the t-degree columns of all q codes are
-reduced by the modulus and mod p^N a column at a time: no Python loop runs
-per slot.  This still multiplies out term by term, only all terms at once;
-ga_multiply, the generic GL2 product, stays as the oracle the kernel is
-checked against.
+reduced by the modulus and mod p^N a column at a time
+(padic.witt_fold_columns): no Python loop runs per slot.  This still
+multiplies out term by term, only all terms at once; ga_multiply, the
+generic GL2 product, stays as the oracle the kernel is checked against.
+scale_vector multiplies a vector by a scalar column by column too, in one
+padic.witt_mul_columns call.
 
 ga_multiply runs through every term pair, its key through the q x q mul and
 add tables, and sums lazily: each coefficient is packed in t as one integer
@@ -46,7 +48,8 @@ import decimal
 import struct
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from operator import add, sub
+from itertools import repeat
+from operator import add
 
 from wittcycle import _tables
 from wittcycle.jacobi import factorial_mod_p, jacobi_sum
@@ -56,8 +59,9 @@ from wittcycle.padic import (
     escalate,
     valuation_and_unit,
     witt_add,
+    witt_fold_columns,
     witt_from_int,
-    witt_mul,
+    witt_mul_columns,
     witt_neg,
     witt_one,
     witt_pack,
@@ -113,12 +117,9 @@ def ga_add(x, y, params):
 
 def scale_vector(vec, w, params):
     """The vector times the scalar w, zero coordinates dropped."""
-    out = {}
-    for key, c in vec.items():
-        s = witt_mul(c, w, params)
-        if any(s):
-            out[key] = s
-    return out
+    cols = list(zip(*vec.values())) or [()] * params.f
+    prods = witt_mul_columns(cols, [repeat(c) for c in w], params)
+    return {key: s for key, s in zip(vec, prods) if any(s)}
 
 
 def s_operator(i, variant, params):
@@ -130,11 +131,13 @@ def s_operator(i, variant, params):
     if not 0 <= i <= q - 1:
         raise ValueError("index must lie in [0, q-1]")
     T = _tables.tables_for(params)
+    exp, dlog = T.exp, T.dlog
     teich = _tables.teich_by_code(params)
-    # [lambda]^i over F_q, with [0]^0 = 1: index 0 adds lambda = 0, the term
-    # at w resp. the identity, to index q-1
+    # [lambda]^i = [g^(dlog(lambda) i)] over F_q, with [0]^0 = 1 (dlog[0] i
+    # = 0 at i = 0): index 0 adds lambda = 0, the term at w resp. the
+    # identity, to index q-1
     return {
-        ((lam, 1, 1, 0) if variant == "S" else (1, 0, lam, 1)): teich[T.pow_code(lam, i)]
+        ((lam, 1, 1, 0) if variant == "S" else (1, 0, lam, 1)): teich[exp[dlog[lam] * i % (q - 1)]]
         for lam in range(0 if i == 0 else 1, q)
     }
 
@@ -235,21 +238,6 @@ def _fold_digits(block, d, p):
     return out
 
 
-def _reduce_columns(acc, params):
-    """The Witt tuples, code by code, of acc[k + T*code] as the coefficient
-    of t^k (T = 2f-1): reduced by the modulus from the top degree down, then
-    mod p^N, one column of all codes at a time."""
-    f, pN, mod = params.f, params.pN, params.modulus
-    T = 2 * f - 1
-    cols = [acc[k::T] for k in range(T)]
-    for k in range(T - 1, f - 1, -1):
-        top = list(map(pN.__rmod__, cols[k]))
-        for i in range(f):
-            if mod[i]:
-                cols[k - f + i] = list(map(sub, cols[k - f + i], map(mod[i].__mul__, top)))
-    return zip(*(map(pN.__rmod__, col) for col in cols[:f]))
-
-
 def u_convolve(x, y, params):
     """The product x y, for x supported on one coset cU- and y on U-.
 
@@ -282,8 +270,10 @@ def u_convolve(x, y, params):
     text = text.zfill(W * n * width)
     parser = struct.Struct("%ds" % width * n)
     acc = _fold_digits(partial(_parse_block, text, parser), f, p)
+    # acc[k + T*code] is the coefficient of t^k at code, T = 2f-1
+    T = 2 * f - 1
     out = {}
-    for code, w in enumerate(_reduce_columns(acc, params)):
+    for code, w in enumerate(witt_fold_columns([acc[k::T] for k in range(T)], params)):
         if any(w):
             out[(1, 0, code, 1) if coset == "1" else (code, 1, 1, 0)] = w
     return out

@@ -8,6 +8,12 @@ integers in [0, p), and takes the same witt_* operations.  Tuples hash and
 compare structurally, so elements can be used as dict keys directly.  All
 operations are pure functions taking the element(s) first and a Params last.
 
+witt_mul_columns multiplies many pairs of elements at once: each operand is
+given as f coefficient columns, the f^2 products of columns run as C-level
+maps into 2f-1 columns, and witt_fold_columns reduces those by the modulus
+and mod p^N a column at a time, so no Python loop runs per element.
+witt_mul and witt_fold stay the one-element path.
+
 Ring axioms hold exactly at precision N.  A quantity that is 0 mod p^N has
 unknown valuation; valuation_and_unit reports PRECISION_INF for it and
 callers are expected to retry at higher precision.
@@ -15,7 +21,8 @@ callers are expected to retry at higher precision.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial, reduce
+from operator import add, mul, sub
 
 PRECISION_INF = math.inf
 
@@ -231,6 +238,35 @@ def witt_fold(c, params):
             for i in range(f):
                 c[base + i] -= t * mod[i]
     return tuple(v % m for v in c[:f])
+
+
+def witt_fold_columns(cols, params):
+    """witt_fold for many polynomials at once, position by position: cols[k]
+    lists the t^k coefficients (at least f columns of one length, the list
+    overwritten).  Reduced by the modulus one column at a time, from the top
+    degree down, then mod p^N; returns an iterator of Witt tuples."""
+    f, pN, mod = params.f, params.pN, params.modulus
+    for k in range(len(cols) - 1, f - 1, -1):
+        top = list(map(pN.__rmod__, cols[k]))
+        for i in range(f):
+            if mod[i]:
+                cols[k - f + i] = list(map(sub, cols[k - f + i], map(mod[i].__mul__, top)))
+    return zip(*(map(pN.__rmod__, col) for col in cols[:f]))
+
+
+def witt_mul_columns(xs, ys, params):
+    """The position-by-position products of two runs of Witt tuples, each
+    given as its f coefficient columns (xs[i] is a sequence of the t^i
+    coefficients, read f times).  A scalar is passed as f columns of
+    itertools.repeat; the products stop with the shortest column.  Returns
+    an iterator of Witt tuples."""
+    f = params.f
+    cols = []
+    for k in range(2 * f - 1):
+        # column k sums the products x_i y_j with i + j = k, lazily in C
+        terms = (map(mul, xs[i], ys[k - i]) for i in range(max(0, k + 1 - f), min(k + 1, f)))
+        cols.append(list(reduce(partial(map, add), terms)))
+    return witt_fold_columns(cols, params)
 
 
 def witt_unpack(packed, width, degree, params):

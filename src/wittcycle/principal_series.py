@@ -30,7 +30,9 @@ with b upper triangular, gives
     w u-(mu) phi = [mu]^m1 [-1/mu]^m2 u-(1/mu) phi
                  = (-1)^m2 [mu]^(m1-m2) u-(1/mu) phi,
 
-a monomial map read off dlog (_w_map).  So S_i = w S+_i costs one
+a monomial map read off dlog (_w_map): the units of all the u-(mu)
+coordinates are gathered in one pass and multiplied in as one column
+product (padic.witt_mul_columns).  So S_i = w S+_i costs one
 convolution and O(q) work, touching only the O(q) field tables (inv, neg,
 dlog, exp) and the Teichmuller column.  exchange_vectors, the production
 route of exchange_constant and of the degenerate-step check, works there;
@@ -52,8 +54,8 @@ from wittcycle import _tables
 from wittcycle.group_algebra import GL2_ID, GL2_W, gl2_inv, s_operator, scale_vector, u_convolve
 from wittcycle.padic import (
     escalate,
-    witt_add,
     witt_mul,
+    witt_mul_columns,
     witt_one,
     witt_pack,
     witt_unpack,
@@ -221,22 +223,28 @@ def _w_map(module, y):
     u-(mu), mu != 0, goes to (-1)^m2 [mu]^(m1-m2) u-(1/mu) (module docstring)."""
     params = module.params
     T = _tables.tables_for(params)
+    exp, dlog, inv = T.exp, T.dlog, T.inv
     teich = _tables.teich_by_code(params)
     m = params.q - 1
     d = module.chi.m1 - module.chi.m2
-    sign = T.dlog[T.neg[1]] * module.chi.m2
-    out = {}
+    sign = dlog[T.neg[1]] * module.chi.m2
+    out, mus, cs = {}, [], []
     for g, c in y.items():
         if g == GL2_W:
             g = GL2_ID
         elif g == GL2_ID:
             g = GL2_W
         else:
-            mu = g[2]
-            g = (1, 0, T.inv[mu], 1)
-            c = witt_mul(c, teich[T.exp[(T.dlog[mu] * d + sign) % m]], params)
+            mus.append(g[2])
+            cs.append(c)
+            continue
         if any(c):
             out[g] = c
+    # the u-(mu) coordinates, times their units in one column product
+    units = [teich[exp[(dlog[mu] * d + sign) % m]] for mu in mus]
+    empty = [()] * params.f
+    prods = witt_mul_columns(list(zip(*cs)) or empty, list(zip(*units)) or empty, params)
+    out.update({(1, 0, inv[mu], 1): c for mu, c in zip(mus, prods) if any(c)})
     return out
 
 
@@ -246,9 +254,7 @@ def _s_plus(y, i, params):
     kernel = s_operator(i, "S_plus", params)
     out = u_convolve({g: c for g, c in y.items() if g != GL2_W}, kernel, params)
     if GL2_W in y:
-        total = witt_zero(params)
-        for c in kernel.values():
-            total = witt_add(total, c, params)
+        total = tuple(sum(col) % params.pN for col in zip(*kernel.values()))
         at_w = witt_mul(y[GL2_W], total, params)
         if any(at_w):
             out[GL2_W] = at_w

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -7,7 +8,7 @@ import sys
 
 import pytest
 
-from wittcycle import _tables, cli, padic
+from wittcycle import _tables, cli, group_algebra, padic
 from wittcycle.cli import (
     _pool_size,
     _scan_pairs,
@@ -296,6 +297,11 @@ _REPORT_DIGESTS = [
      "8162fae8fcdde17e4f49b8addcdeaa24613910df2fca430a6c4678bbda35c3a2"),
     ("field-info --p 11 --f 3",
      "b008ccca4458ef57b4d8c38d5f7be37be5d84816b9116c0f971b038906c7f56a"),
+    # the stepwise route at q = 343: the w-map and the proportionality check
+    ("constant --p 7 --f 3 --kind irr --r 2 --alpha 1 --mode stepwise",
+     "1600c4f0193f1311369886b981c50525cfe92801f479a04e99e0e4d1682697e0"),
+    ("constant --p 7 --f 3 --kind red --r 2 --alpha 1 --alpha-prime 1 --mode stepwise",
+     "09e5fe7b3a991eb38043f03e2df88d3a679b345f0db98228c8f7f0ac4a9998b9"),
 ]
 
 
@@ -467,3 +473,18 @@ def test_relation_check_multiplies_each_pair_once(monkeypatch):
     assert pairs == 50
     assert len(calls) == pairs + 20
     assert all(c["pass"] for c in checks.values())
+
+
+def test_selftest_catches_a_column_fold_without_the_constant_term(monkeypatch, capsys):
+    # the fold of every column product and of u_convolve, with mod[0] skipped
+    fold = padic.witt_fold_columns
+
+    def mutant(cols, params):
+        return fold(cols, dataclasses.replace(params, modulus=(0,) + params.modulus[1:]))
+
+    monkeypatch.setattr(padic, "witt_fold_columns", mutant)
+    monkeypatch.setattr(group_algebra, "witt_fold_columns", mutant)
+    assert main(["selftest", "--p", "7", "--f", "2", "--seed", "1", "--json"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    failed = [c["name"] for item in rep["items"] for c in item["checks"] if not c["pass"]]
+    assert "internal invariant" in failed

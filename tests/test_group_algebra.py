@@ -19,9 +19,19 @@ from wittcycle.group_algebra import (
     gl2_mul,
     s_operator,
     s_product_closed,
+    scale_vector,
     u_convolve,
 )
-from wittcycle.padic import Params, witt_add, witt_mul, witt_neg, witt_one, witt_sub
+from wittcycle.padic import (
+    Params,
+    witt_add,
+    witt_from_int,
+    witt_mul,
+    witt_neg,
+    witt_one,
+    witt_sub,
+    witt_zero,
+)
 
 P71 = Params.make(7, 1, N=5)
 P72 = Params.make(7, 2)
@@ -392,6 +402,25 @@ def test_contract_splus_matches_oracle_chain_q49():
         res = contract_splus(idx, P72)
         assert (res.alpha, res.beta) == _oracle_contraction(idx, res.params), idx
         done += 1
+
+
+@pytest.mark.parametrize("params", [P71, P72], ids=["q7", "q49"])
+def test_scale_vector_matches_witt_mul(params):
+    rng = random.Random(params.q)
+    m, f = params.pN, params.f
+    keys = rng.sample([(1, 0, lam, 1) for lam in range(params.q)] + [GL2_ID, GL2_W], 6)
+    vec = {g: tuple(rng.randrange(m) for _ in range(f)) for g in keys}
+    # times p, the first coordinate becomes 0 and is dropped
+    vec[keys[0]] = witt_from_int(m // params.p, params)
+    vec[keys[1]] = (m - 1,) * f
+    for w in [tuple(rng.randrange(m) for _ in range(f)), witt_from_int(params.p, params)]:
+        ref = {g: witt_mul(c, w, params) for g, c in vec.items()}
+        got = scale_vector(vec, w, params)
+        assert got == {g: c for g, c in ref.items() if any(c)}
+        assert list(got) == [g for g in vec if g in got]
+    assert keys[0] not in scale_vector(vec, witt_from_int(params.p, params), params)
+    assert scale_vector(vec, witt_zero(params), params) == {}
+    assert scale_vector({}, witt_one(params), params) == {}
 
 
 def test_u_convolve_reads_coefficients_mod_pN():

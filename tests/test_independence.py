@@ -8,7 +8,8 @@ way stickelberger-scan checks the Teichmuller sum jacobi_sum against the
 digit counting of stickelberger_data, so the sum must not read the digit
 counting either, and the generic GL2 products ga_multiply and ps_act, the
 oracle the U- kernel is checked against, must not read the kernel, its
-packing or the exchange route's maps.  Walks src/wittcycle/*.py with ast:
+packing, the column arithmetic or the exchange route's maps; and the closed
+forms must not read the kernel or the exchange route either.  Walks src/wittcycle/*.py with ast:
 from each root, every top-level def or class of the package whose name a
 reached body reads is followed in turn, and the names read along the way
 must miss the forbidden set.
@@ -52,7 +53,8 @@ KERNEL = {
     "_pack",
     "_cells",
     "_fold_digits",
-    "_reduce_columns",
+    "witt_fold_columns",
+    "witt_mul_columns",
     "_parse_block",
     "_exact_multiply",
     "_coset_of",
@@ -60,6 +62,10 @@ KERNEL = {
     "_w_map",
     "_s_plus",
 }
+
+# what the closed forms must not read: the kernel and the exchange route,
+# without the column arithmetic of padic
+ROUTE = KERNEL - {"witt_fold_columns", "witt_mul_columns"}
 
 
 def definitions(sources):
@@ -105,6 +111,15 @@ def test_jacobi_sum_reads_no_digit_counting():
     assert set(JACOBI) <= set(defs)
     assert DIGIT_COUNTING <= set(defs)
     assert reached(JACOBI, defs) & DIGIT_COUNTING == set()
+
+
+def test_closed_forms_read_no_kernel():
+    # the closed side may multiply columns (ring arithmetic, like witt_mul),
+    # but none of the U- kernel or the exchange route
+    defs = definitions(p.read_text() for p in sorted(SRC.glob("*.py")))
+    assert CLOSED <= set(defs)
+    assert ROUTE <= set(defs)
+    assert reached(CLOSED, defs) & ROUTE == set()
 
 
 def test_oracle_reads_no_kernel():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from wittcycle import jacobi
 from wittcycle._tables import MAX_TABLE_Q, tables_for, teich_by_code
 from wittcycle.jacobi import (
     _lane_divisor,
@@ -258,3 +259,38 @@ def test_lane_products_fit_at_largest_field():
     # the floor (e c) >> shift is exact below 2 m^2: c m - 2^shift < m and
     # 2 m^3 < 2^shift
     assert 0 <= c * m - (1 << shift) < m and 2 * m**3 < 1 << shift
+
+
+# Frobenius fixes J(a, b): sigma(J) = sum of [alpha^p]^a [1 - alpha^p]^b = J,
+# since alpha -> alpha^p permutes F_q.  So J lies in Z_p = W(F_p), and every
+# t-coefficient above degree 0 is 0; the digit counting plays no part.
+
+_ZP_FIELDS = [(7, 2), (7, 3), (11, 2), (13, 2)]
+
+
+def _sampled_pairs(params, n, seed):
+    rng = random.Random(seed)
+    q = params.q
+    return [(0, 0), (0, 3), (q - 1, 1)] + [
+        (rng.randrange(q), rng.randrange(q)) for _ in range(n)
+    ]
+
+
+@pytest.mark.parametrize("p, f", _ZP_FIELDS, ids=["%d-%d" % pf for pf in _ZP_FIELDS])
+@pytest.mark.parametrize("convention", ["standard", "J0"])
+def test_jacobi_sums_lie_in_zp(p, f, convention):
+    params = Params.make(p, f)
+    for a, b in _sampled_pairs(params, 60, p * f):
+        J = jacobi_sum(a, b, convention, params)
+        assert not any(J[1:]), (a, b)
+
+
+def test_zp_check_catches_a_perturbed_teichmuller_entry(monkeypatch):
+    # [g]^5 off by t at q = 49: every sum with a term [g]^5 leaves Z_p
+    packed, width = _packed_powers(P72)
+    bad = list(packed)
+    bad[5] += 1 << width
+    monkeypatch.setattr(jacobi, "_packed_powers", lambda params: (bad, width))
+    pairs = _sampled_pairs(P72, 100, 49)
+    broken = [ab for ab in pairs if any(jacobi_sum(*ab, "J0", P72)[1:])]
+    assert len(broken) >= 10

@@ -1,5 +1,7 @@
 import math
 import pickle
+import random
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,9 +18,12 @@ from wittcycle.padic import (
     teichmuller,
     valuation_and_unit,
     witt_add,
+    witt_fold,
+    witt_fold_columns,
     witt_from_int,
     witt_inv,
     witt_mul,
+    witt_mul_columns,
     witt_one,
     witt_pow,
     witt_reduce,
@@ -282,3 +287,46 @@ def test_params_cached_pN_keeps_identity():
     higher = a.with_precision(10)
     assert higher.pN == 7**10 and raise_precision(a).pN == 7 ** (8 + 4)
     assert higher != a
+
+
+# The column product against witt_mul, position by position
+
+_COLUMN_FIELDS = {f: Params.make(7, f) for f in (1, 2, 3, 4)}
+
+
+def _columns(xs, params):
+    return list(zip(*xs)) or [()] * params.f
+
+
+@pytest.mark.parametrize("f", sorted(_COLUMN_FIELDS))
+def test_witt_mul_columns_matches_witt_mul(f):
+    P = _COLUMN_FIELDS[f]
+    rng = random.Random(f)
+    top, zero = (P.pN - 1,) * f, (0,) * f
+
+    def elt():
+        return tuple(rng.randrange(P.pN) for _ in range(f))
+
+    for n in (0, 1, 2, 40):
+        xs = [elt() for _ in range(n)]
+        ys = [elt() for _ in range(n)]
+        if n > 1:
+            xs[0], ys[0], xs[1] = top, top, zero
+        got = list(witt_mul_columns(_columns(xs, P), _columns(ys, P), P))
+        assert got == [witt_mul(x, y, P) for x, y in zip(xs, ys)], n
+        # a scalar operand, as repeated columns
+        for w in (elt(), top, zero):
+            got = list(witt_mul_columns(_columns(xs, P), [repeat(c) for c in w], P))
+            assert got == [witt_mul(x, w, P) for x in xs], (n, w)
+
+
+@pytest.mark.parametrize("f", sorted(_COLUMN_FIELDS))
+def test_witt_fold_columns_matches_witt_fold(f):
+    # integer polynomials of t-degree 2f-2, negative coefficients included
+    P = _COLUMN_FIELDS[f]
+    rng = random.Random(10 + f)
+    bound = P.pN**2 * f
+    polys = [[rng.randrange(-bound, bound) for _ in range(2 * f - 1)] for _ in range(30)]
+    polys.append([P.pN**2] * (2 * f - 1))
+    got = list(witt_fold_columns([list(col) for col in zip(*polys)], P))
+    assert got == [witt_fold(list(c), P) for c in polys]

@@ -240,6 +240,36 @@ def test_chart_vectors_match_generic_action(params):
             ), (work.N, chi)
 
 
+@pytest.mark.parametrize("params", [P7, P7F2, P11F2], ids=["q7", "q49", "q121"])
+def test_w_map_matches_per_coordinate_reference(params):
+    # u-(mu) -> (-1)^m2 [mu]^(m1-m2) u-(1/mu), one witt_mul per factor
+    rng = random.Random(params.q + 1)
+    T = _tables.tables_for(params)
+    teich = _tables.teich_by_code(params)
+    q = params.q
+    keys = [GL2_W] + [(1, 0, mu, 1) for mu in range(q)]
+    for _ in range(3):
+        chi = make_char(rng.randrange(q - 1), rng.randrange(q - 1), params)
+        module = PSModule(chi, params)
+        y = {
+            g: tuple(rng.randrange(params.pN) for _ in range(params.f))
+            for g in rng.sample(keys, (q + 1) // 2)
+        }
+        sign = teich[T.pow_code(T.neg[1], chi.m2)]
+        want = {}
+        for g, c in y.items():
+            if g == GL2_W:
+                want[(1, 0, 0, 1)] = c
+            elif g[2] == 0:
+                want[GL2_W] = c
+            else:
+                unit = witt_mul(sign, teich[T.pow_code(g[2], chi.m1 - chi.m2)], params)
+                want[(1, 0, T.inv[g[2]], 1)] = witt_mul(c, unit, params)
+        assert _w_map(module, y) == want, chi
+        assert _w_map(module, {GL2_W: witt_one(params)}) == {(1, 0, 0, 1): witt_one(params)}
+        assert _w_map(module, {}) == {}
+
+
 def test_exchange_proportionality_check_bites(monkeypatch):
     psi_s = make_char(10, 2, P7F2)
     vectors = principal_series.exchange_vectors
