@@ -8,11 +8,11 @@ way stickelberger-scan checks the Teichmuller sum jacobi_sum against the
 digit counting of stickelberger_data, so the sum must not read the digit
 counting either, and the generic GL2 products ga_multiply and ps_act, the
 oracle the U- kernel is checked against, must not read the kernel, its
-packing, the column arithmetic or the exchange route's maps; and the closed
-forms must not read the kernel or the exchange route either.  Walks src/wittcycle/*.py with ast:
-from each root, every top-level def or class of the package whose name a
-reached body reads is followed in turn, and the names read along the way
-must miss the forbidden set.
+packing, the column arithmetic or the exchange route's maps; nor may the
+closed forms read the kernel or the exchange route.  Walks
+src/wittcycle/*.py with ast: from each root, every top-level def or class
+of the package whose name a reached body reads is followed in turn, and the
+names read along the way must miss the forbidden set.
 """
 
 import ast

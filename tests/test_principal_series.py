@@ -266,8 +266,8 @@ def test_w_map_matches_per_coordinate_reference(params):
                 unit = witt_mul(sign, teich[T.pow_code(g[2], chi.m1 - chi.m2)], params)
                 want[(1, 0, T.inv[g[2]], 1)] = witt_mul(c, unit, params)
         assert _w_map(module, y) == want, chi
-        assert _w_map(module, {GL2_W: witt_one(params)}) == {(1, 0, 0, 1): witt_one(params)}
-        assert _w_map(module, {}) == {}
+    assert _w_map(module, {GL2_W: witt_one(params)}) == {(1, 0, 0, 1): witt_one(params)}
+    assert _w_map(module, {}) == {}
 
 
 def test_exchange_proportionality_check_bites(monkeypatch):
