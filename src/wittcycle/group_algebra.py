@@ -7,22 +7,21 @@ the algebra.  Products of operator chains are always computed by pairwise
 convolution, never by algebraic shortcut: the closed formulas live next to
 the numeric route precisely so the two can be compared.
 
-s_operator(i, "S") is the sum of [lambda]^i (lambda 1; 1 0) over units, and
-s_operator(i, "S_plus") the sum of [lambda]^i (1 0; lambda 1); index 0 sums
-over all of F_q with [0]^0 = 1, the augmented operators (antidiagonal +
-index q-1, resp. identity + index q-1).
+s_operator(i) is S+_i, the sum of [lambda]^i (1 0; lambda 1) over units;
+index 0 sums over all of F_q with [0]^0 = 1, the augmented operator
+(identity + index q-1).  The paper's S_i = w S+_i is not a second family:
+the exchange route applies w to S+ products by a monomial map
+(principal_series._w_map).
 
 Every S+ chain is a product x y with x and y supported on U-, and
-u-(lambda) u-(mu) = u-(lambda+mu).  u_convolve also accepts x on the coset
-wU-, landing on wU-, though no program route calls it there: the selftest
-reads S_i S+_j as the left translate w (S+_i S+_j).
-u_convolve multiplies such a pair as an additive convolution over (Z/p)^f by
-Kronecker substitution.  Each operand is packed into one integer, one slot
-per (field digit vector, t-degree), each slot wide enough in decimal digits
-for the bound q f (p^N-1)^2 on a product coefficient, so no slot carries
-into the next.  The integer is a decimal.Decimal, so the one big multiply
-runs on libmpdec's number-theoretic transform, in a context that raises on
-any rounding.  The product's text is cut into slots by struct and int one
+u-(lambda) u-(mu) = u-(lambda+mu).  u_convolve multiplies such a pair as
+an additive convolution over (Z/p)^f by Kronecker substitution.  Each
+operand is packed into one integer, one slot per (field digit vector,
+t-degree), each slot wide enough in decimal digits for the bound
+q f (p^N-1)^2 on a product coefficient, so no slot carries into the next.
+The integer is a decimal.Decimal, so the one big multiply runs on
+libmpdec's number-theoretic transform, in a context that raises on any
+rounding.  The product's text is cut into slots by struct and int one
 block of the outermost field digit at a time, so at most two blocks are
 parsed at once.  Field digits are folded mod p by adding whole slices of
 slots, outermost digit first, and the t-degree columns of all q codes are
@@ -48,7 +47,7 @@ import decimal
 import struct
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add
 
 from wittcycle import _tables
@@ -63,7 +62,6 @@ from wittcycle.padic import (
     witt_from_int,
     witt_mul_columns,
     witt_neg,
-    witt_one,
     witt_pack,
     witt_sub,
     witt_unpack,
@@ -122,10 +120,8 @@ def scale_vector(vec, w, params):
     return {key: s for key, s in zip(vec, prods) if any(s)}
 
 
-def s_operator(i, variant, params):
-    """One of the two generating families, as a group-algebra element."""
-    if variant not in ("S", "S_plus"):
-        raise ValueError("variant must be 'S' or 'S_plus'")
+def s_operator(i, params):
+    """S+_i, the generating family, as a group-algebra element on U-."""
     q = params.q
     i = int(i)
     if not 0 <= i <= q - 1:
@@ -134,11 +130,9 @@ def s_operator(i, variant, params):
     exp, dlog = T.exp, T.dlog
     teich = _tables.teich_by_code(params)
     # [lambda]^i = [g^(dlog(lambda) i)] over F_q, with [0]^0 = 1 (dlog[0] i
-    # = 0 at i = 0): index 0 adds lambda = 0, the term at w resp. the
-    # identity, to index q-1
+    # = 0 at i = 0): index 0 adds lambda = 0, the identity, to index q-1
     return {
-        ((lam, 1, 1, 0) if variant == "S" else (1, 0, lam, 1)): teich[exp[dlog[lam] * i % (q - 1)]]
-        for lam in range(0 if i == 0 else 1, q)
+        (1, 0, lam, 1): teich[exp[dlog[lam] * i % (q - 1)]] for lam in range(0 if i == 0 else 1, q)
     }
 
 
@@ -191,32 +185,15 @@ def _exact_multiply(a, b):
     return decimal.Context(decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=traps).multiply(a, b)
 
 
-def _coset_of(x):
-    """'1' if every key of x is (1,0,lam,1), 'w' if every key is (lam,1,1,0)."""
-    coset = None
-    for a, b, c, d in x:
-        if a == 1 and b == 0 and d == 1:
-            this = "1"
-        elif b == 1 and c == 1 and d == 0:
-            this = "w"
-        else:
-            raise ValueError("operand leaves the cosets U- and wU-")
-        if coset is None:
-            coset = this
-        elif this != coset:
-            raise ValueError("operand spans both cosets U- and wU-")
-    return coset
-
-
-def _pack(x, lam_index, cells, width, params):
+def _pack(x, cells, width, params):
     """One Decimal whose base-10^width digits are x's coefficients: cell
     cells[lam] holds 2f-1 slots, the coefficient of t^k in slot k."""
     f, pN = params.f, params.pN
     zero = "0" * ((2 * f - 1) * width)
     cell = zero[: (f - 1) * width] + "%%0%dd" % width * f
-    out = [zero] * (max(cells[g[lam_index]] for g in x) + 1)
+    out = [zero] * (max(cells[g[2]] for g in x) + 1)
     for g, coeff in x.items():
-        out[cells[g[lam_index]]] = cell % (*map(pN.__rmod__, reversed(coeff)),)
+        out[cells[g[2]]] = cell % (*map(pN.__rmod__, reversed(coeff)),)
     out.reverse()
     return decimal.Decimal("".join(out))
 
@@ -239,29 +216,25 @@ def _fold_digits(block, d, p):
 
 
 def u_convolve(x, y, params):
-    """The product x y, for x supported on one coset cU- and y on U-.
+    """The product x y, for x and y supported on U-.
 
-    Keys of x are all (1,0,lam,1) (c = 1) or all (lam,1,1,0) (c = w, with
-    GL2_W as lam = 0); keys of y are all (1,0,mu,1).  Since
-    c u-(lam) u-(mu) = c u-(lam+mu), the product is the additive convolution
-    of the coefficient vectors over F_q = (Z/p)^f, landing on cU-.  Returns
-    the same dict as ga_multiply(x, y, params); raises ValueError if either
-    operand leaves its coset.
+    Every key is some u-(lam) = (1,0,lam,1).  Since u-(lam) u-(mu) =
+    u-(lam+mu), the product is the additive convolution of the coefficient
+    vectors over F_q = (Z/p)^f.  Returns the same dict as
+    ga_multiply(x, y, params); raises ValueError if either operand leaves U-.
     """
-    coset = _coset_of(x)
-    if _coset_of(y) not in (None, "1"):
-        raise ValueError("right operand must lie on U-")
+    if any(a != 1 or b != 0 or d != 1 for a, b, _, d in chain(x, y)):
+        raise ValueError("operands must lie on U-")
     if not x or not y:
         return {}
     p, f, W = params.p, params.f, 2 * params.p - 1
     cells = _cells(p, f)
     # a product slot sums at most q*f products of two coefficients < p^N
     width = len(str(params.q * f * (params.pN - 1) ** 2))
-    lam_x = 2 if coset == "1" else 0
     # the product's digits, top slot first; no name holds the product, so
     # it is freed as soon as its text exists
     text = format(
-        _exact_multiply(_pack(x, lam_x, cells, width, params), _pack(y, 2, cells, width, params)),
+        _exact_multiply(_pack(x, cells, width, params), _pack(y, cells, width, params)),
         "f",
     ).encode()
     # 2p-1 blocks of n slots, one per outermost field digit, each parsed
@@ -275,7 +248,7 @@ def u_convolve(x, y, params):
     out = {}
     for code, w in enumerate(witt_fold_columns([acc[k::T] for k in range(T)], params)):
         if any(w):
-            out[(1, 0, code, 1) if coset == "1" else (code, 1, 1, 0)] = w
+            out[(1, 0, code, 1)] = w
     return out
 
 
@@ -297,24 +270,21 @@ class ContractionResult:
     params: object
 
 
-def s_product_closed(i, j, variant, params):
-    """The closed form of S_i S+_j (variant "S") or S+_i S+_j ("S_plus"), 0 < i, j < q-1.
+def s_product_closed(i, j, params):
+    """The closed form of S+_i S+_j, 0 < i, j < q-1.
 
-    J(i, j) times the operator of index i+j when i+j is nonzero mod q-1;
-    otherwise (-1)^(i+1) S_0 + (-1)^i q c, with c = w resp. the identity.
+    J(i, j) S+_{i+j} when i+j is nonzero mod q-1; otherwise
+    (-1)^(i+1) S+_0 + (-1)^i q id.
     """
     q = params.q
     m = (i + j) % (q - 1)
     if m:
-        J = jacobi_sum(i, j, "standard", params)
-        return scale_vector(s_operator(m, variant, params), J, params)
-    s0 = s_operator(0, variant, params)
+        return scale_vector(s_operator(m, params), jacobi_sum(i, j, "standard", params), params)
     sign0 = 1 if (i + 1) % 2 == 0 else -1
     signq = q if i % 2 == 0 else -q
-    tail = {GL2_ID if variant == "S_plus" else GL2_W: witt_one(params)}
     return ga_add(
-        scale_vector(s0, witt_from_int(sign0, params), params),
-        scale_vector(tail, witt_from_int(signq, params), params),
+        scale_vector(s_operator(0, params), witt_from_int(sign0, params), params),
+        {GL2_ID: witt_from_int(signq, params)},
         params,
     )
 
@@ -374,9 +344,9 @@ def contract_splus(indices, params):
 
 
 def _contract_once(indices, params):
-    prod = s_operator(indices[0], "S_plus", params)
+    prod = s_operator(indices[0], params)
     for i in indices[1:]:
-        prod = u_convolve(prod, s_operator(i, "S_plus", params), params)
+        prod = u_convolve(prod, s_operator(i, params), params)
     # alpha is read at u-(1) and c_id at the identity; the product must be
     # alpha on every u-(lam), lam != 0, plus c_id at the identity, nothing else
     alpha = prod.get((1, 0, 1, 1), witt_zero(params))

@@ -17,10 +17,10 @@ label 0, w phi is label 1, and u-(mu) phi for mu != 0 is a Teichmuller unit
 times label 1 + code(-1/mu), so these q+1 vectors are a basis.  A vector
 there is a group-algebra element y supported on U- and w, standing for
 y phi, and operators act on y by the group-algebra product.  S+_i phi is
-the kernel s_operator(i, "S_plus") itself.  S+_i y is an additive
-convolution over F_q on the U- part (group_algebra.u_convolve); U- fixes
-w phi, which is multiplied by the sum of the kernel's coefficients.  The
-involution w = GL2_W swaps GL2_ID and GL2_W, and for mu != 0 the Bruhat
+the kernel s_operator(i) itself.  S+_i y is an additive convolution over
+F_q on the U- part (group_algebra.u_convolve); U- fixes w phi, which is
+multiplied by the sum of the kernel's coefficients.  The involution
+w = GL2_W swaps GL2_ID and GL2_W, and for mu != 0 the Bruhat
 decomposition
 
     w u-(mu) = (mu 1; 1 0) = u-(1/mu) b,  b = (mu 1; 0 -1/mu),
@@ -41,8 +41,10 @@ term through the q x q oracle tables, is the oracle it is checked against.
 
 ps_act sums lazily, like group_algebra.ga_multiply: each term
 c [chi(b)^(-1)] hcoef is a product of three coefficients packed in t
-(padic.witt_pack), and the exact sum over Z is reduced once per label, with
-the fold from t-degree 3f-3 (padic.witt_unpack).  A group element permutes
+(padic.witt_pack), chi(b)^(-1) = [g^e] read from a packed column at
+e = -(m1 dlog d1 + m2 dlog d2), one lookup per term; the exact sum over Z
+is reduced once per label, with the fold from t-degree 3f-3
+(padic.witt_unpack).  A group element permutes
 the labels, so a label collects at most |x| terms, and a t-coefficient of
 one term sums at most f^2 products below (p^N-1)^3; slots of
 bit_length(|x| f^2 (p^N-1)^3) bits never carry.
@@ -130,12 +132,13 @@ def ps_act(module, x, v):
     if isinstance(x, tuple):
         x = {x: witt_one(params)}
     T = _tables.tables_for(params)
-    q, mul, add, neg, inv = T.q, T.mul, T.add, T.neg, T.inv
+    q, mul, add, neg, inv, dlog = T.q, T.mul, T.add, T.neg, T.inv, T.dlog
     m1, m2 = module.chi.m1, module.chi.m2
     f = params.f
     width = (len(x) * f * f * (params.pN - 1) ** 3).bit_length()
     vs = [(label, witt_pack(c, width, params)) for label, c in v.items()]
-    scalars = [witt_pack(t, width, params) for t in _tables.teich_by_code(params)]
+    teich = _tables.teich_by_code(params)
+    scalars = [witt_pack(teich[c], width, params) for c in T.exp]  # [g^e] at e
     acc = {}
     for h, hcoef in x.items():
         e, f2, g2, h2 = gl2_inv(h, params)
@@ -156,8 +159,8 @@ def ps_act(module, x, v):
                 det = add[mul[m00 * q + m11] * q + neg[mul[m01 * q + m10]]]
                 d1 = mul[neg[det] * q + inv[m10]]
                 d2 = m10
-            # chi(borel part)^(-1)
-            scal = scalars[mul[T.pow_code(d1, -m1) * q + T.pow_code(d2, -m2)]]
+            # chi(borel part)^(-1) = [d1]^(-m1) [d2]^(-m2); d1, d2 are units
+            scal = scalars[-(m1 * dlog[d1] + m2 * dlog[d2]) % (q - 1)]
             acc[lbl] = acc.get(lbl, 0) + c * scal * hcoef
     out = {}
     for lbl, s in acc.items():
@@ -251,7 +254,7 @@ def _w_map(module, y):
 def _s_plus(y, i, params):
     """S+_i y for y on U- and w: one additive convolution on the U- part,
     and w phi, which U- fixes, times the sum of the kernel's coefficients."""
-    kernel = s_operator(i, "S_plus", params)
+    kernel = s_operator(i, params)
     out = u_convolve({g: c for g, c in y.items() if g != GL2_W}, kernel, params)
     if GL2_W in y:
         total = tuple(sum(col) % params.pN for col in zip(*kernel.values()))
@@ -268,9 +271,9 @@ def exchange_vectors(module, i_psi):
     S_i = w S+_i, so the three cost one u_convolve and two O(q) w-maps.
     """
     params = module.params
-    s0phi = _w_map(module, s_operator(0, "S_plus", params))
+    s0phi = _w_map(module, s_operator(0, params))
     u = _w_map(module, _s_plus(s0phi, i_psi, params))
-    return s0phi, u, s_operator(params.q - 1 - i_psi, "S_plus", params)
+    return s0phi, u, s_operator(params.q - 1 - i_psi, params)
 
 
 def exchange_constant(psi_s, i_psi, params):

@@ -34,6 +34,7 @@ from wittcycle.constants import (
     theorem_form,
 )
 from wittcycle.group_algebra import (
+    GL2_W,
     check_contract_pre,
     contract_splus,
     ga_multiply,
@@ -76,6 +77,7 @@ from wittcycle.weights import (
     subsets_of,
 )
 
+from test_group_algebra import ga_act_matrix, s_by_oracle
 from test_weights import negative_set, transition_weight
 
 
@@ -137,20 +139,25 @@ def test_criterion_02_complementary_pairs():
             assert _passes(item["checks"]), item
 
 
-def _oracle_product(i, j, variant, params):
-    """S_i S+_j (variant "S") or S+_i S+_j by the generic GL2 product, not the kernel."""
-    return ga_multiply(s_operator(i, variant, params), s_operator(j, "S_plus", params), params)
+def _relation_holds(i, j, variant, params):
+    """S+_i S+_j (variant "S_plus") or S_i S+_j ("S") against its closed form,
+    both sides by the generic GL2 product, not the kernel.  The paper's
+    S_i is w S+_i, so the closed form of S_i S+_j is w times that of
+    S+_i S+_j: J(i, j) S_{i+j}, or (-1)^(i+1) S_0 + (-1)^i q w."""
+    left, closed = s_operator(i, params), s_product_closed(i, j, params)
+    if variant == "S":
+        left, closed = (ga_act_matrix(GL2_W, z, params) for z in (left, closed))
+    return ga_multiply(left, s_operator(j, params), params) == closed
 
 
 def test_criterion_03_operator_relations():
     with criterion(3, "operator product relations", 60):
         p71 = Params.make(7, 1)
-        ops = [s_operator(i, "S_plus", p71) for i in range(1, 6)]
+        ops = [s_operator(i, p71) for i in range(1, 6)]
         for i in range(1, 6):
             for j in range(1, 6):
                 for variant in ("S_plus", "S"):
-                    lhs = _oracle_product(i, j, variant, p71)
-                    assert lhs == s_product_closed(i, j, variant, p71), (i, j, variant)
+                    assert _relation_holds(i, j, variant, p71), (i, j, variant)
                 lhs = ga_multiply(ops[i - 1], ops[j - 1], p71)
                 assert lhs == ga_multiply(ops[j - 1], ops[i - 1], p71), (i, j)
         p72 = Params.make(7, 2)
@@ -158,8 +165,7 @@ def test_criterion_03_operator_relations():
         for n in range(200):
             i, j = rng.randrange(1, 48), rng.randrange(1, 48)
             variant = "S_plus" if n % 2 == 0 else "S"
-            lhs = _oracle_product(i, j, variant, p72)
-            assert lhs == s_product_closed(i, j, variant, p72), (i, j, variant)
+            assert _relation_holds(i, j, variant, p72), (i, j, variant)
 
 
 def test_criterion_04_contraction():
@@ -193,7 +199,7 @@ def _composition_identity(params, charlist, npairs, rng):
         chi = make_char(m1, m2, params)
         module = PSModule(chi, params)
         phi = phi_vector(module)
-        s0phi = ps_act(module, s_operator(0, "S", params), phi)
+        s0phi = ps_act(module, s_by_oracle(0, params), phi)
         for v, rprime, eta_exp in [
             (phi, (chi.m1 - chi.m2) % (q - 1), chi.m2),
             (s0phi, (chi.m2 - chi.m1) % (q - 1), chi.m1),
@@ -209,15 +215,15 @@ def _composition_identity(params, charlist, npairs, rng):
             for i, j in pairs:
                 lhs = ps_act(
                     module,
-                    s_operator(i, "S", params),
-                    ps_act(module, s_operator(j, "S", params), v),
+                    s_by_oracle(i, params),
+                    ps_act(module, s_by_oracle(j, params), v),
                 )
                 jac = jacobi_sum(i, (-j - rprime) % (q - 1), "J0", params)
                 if eta_exp % 2:
                     jac = witt_neg(jac, params)
                 red = (i - j - rprime) % (q - 1)
                 rhs = scale_vector(
-                    ps_act(module, s_operator(red, "S", params), v), jac, params
+                    ps_act(module, s_by_oracle(red, params), v), jac, params
                 )
                 assert lhs == rhs, (params.p, params.f, (m1, m2), i, j)
 
@@ -240,7 +246,7 @@ def test_criterion_05_principal_series_layer():
                             mults = sorted(h_component_characters(module).values())
                             assert mults == [1] * (q - 3) + [2, 2]
                             comps = h_components(module)
-                            s0p = s_operator(0, "S_plus", params)
+                            s0p = s_operator(0, params)
                             singles = [vs[0] for vs in comps.values() if len(vs) == 1]
                             if q > 7:
                                 singles = rng.sample(singles, min(10, len(singles)))

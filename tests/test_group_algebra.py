@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wittcycle import group_algebra
-from wittcycle._tables import tables_for
+from wittcycle._tables import tables_for, teich_by_code
 from wittcycle.cli import _contract_checks
 from wittcycle.group_algebra import (
     GL2_ID,
@@ -42,9 +42,10 @@ def ga_act_matrix(g, x, params):
     return ga_multiply({g: (1,) + (0,) * (params.f - 1)}, x, params)
 
 
-def _oracle_product(i, j, variant, params):
-    """S_i S+_j (variant "S") or S+_i S+_j by the generic GL2 product, not the kernel."""
-    return ga_multiply(s_operator(i, variant, params), s_operator(j, "S_plus", params), params)
+def s_by_oracle(i, params):
+    """The paper's S_i = w S+_i, by the generic GL2 product: neither the
+    kernel nor the exchange route's w-map builds it."""
+    return ga_act_matrix(GL2_W, s_operator(i, params), params)
 
 
 def test_gl2_helpers():
@@ -56,19 +57,15 @@ def test_gl2_helpers():
 
 def test_s_operator_support():
     q = P71.q
-    s = s_operator(3, "S", P71)
-    sp = s_operator(3, "S_plus", P71)
-    assert len(s) == q - 1 and len(sp) == q - 1
-    assert all(g[1] == 1 and g[2] == 1 and g[3] == 0 for g in s)
+    sp = s_operator(3, P71)
+    assert len(sp) == q - 1
     assert all(g[0] == 1 and g[1] == 0 and g[3] == 1 for g in sp)
-    s0 = s_operator(0, "S", P71)
-    assert s0[GL2_W] == (1,)
-    s0p = s_operator(0, "S_plus", P71)
+    s0p = s_operator(0, P71)
     assert len(s0p) == q  # all lower unipotents including the identity
-    with pytest.raises(ValueError):
-        s_operator(q, "S", P71)
-    with pytest.raises(ValueError):
-        s_operator(1, "T", P71)
+    assert s0p[GL2_ID] == (1,)
+    for i in (q, -1):
+        with pytest.raises(ValueError):
+            s_operator(i, P71)
 
 
 @pytest.mark.parametrize("q", [7, 49, 343])
@@ -77,22 +74,22 @@ def test_s_operator_zero_is_index_q_minus_1_plus_lambda_zero(q, variant):
     # reference: S_{q-1} plus the lambda = 0 term, the antidiagonal w for S
     # and the identity for S+
     params = _KERNEL_FIELDS[q]
-    one = (1,) + (0,) * (params.f - 1)
-    zero_term = {GL2_W if variant == "S" else GL2_ID: one}
-    ref = ga_add(s_operator(q - 1, variant, params), zero_term, params)
-    assert s_operator(0, variant, params) == ref
+    build = s_by_oracle if variant == "S" else s_operator
+    zero_term = {GL2_W if variant == "S" else GL2_ID: witt_one(params)}
+    assert build(0, params) == ga_add(build(q - 1, params), zero_term, params)
 
 
 def test_s_is_w_times_s_plus():
-    # S_i = w S+_i for every index including the augmented 0
-    for i in range(0, P71.q):
-        lhs = s_operator(i, "S", P71)
-        rhs = ga_act_matrix(GL2_W, s_operator(i, "S_plus", P71), P71)
-        assert lhs == rhs
+    # the paper's S_i, the sum of [lambda]^i (lambda 1; 1 0), is w S+_i for
+    # every index including the augmented 0, where [0]^0 = 1 puts 1 at w
+    q, T, teich = P71.q, tables_for(P71), teich_by_code(P71)
+    for i in range(0, q):
+        want = {(lam, 1, 1, 0): teich[T.pow_code(lam, i)] for lam in range(0 if i == 0 else 1, q)}
+        assert s_by_oracle(i, P71) == want
 
 
 def test_splus_family_commutes_q7():
-    ops = [s_operator(i, "S_plus", P71) for i in range(1, 6)]
+    ops = [s_operator(i, P71) for i in range(1, 6)]
     for x in ops:
         for y in ops:
             assert ga_multiply(x, y, P71) == ga_multiply(y, x, P71)
@@ -102,17 +99,19 @@ def test_product_relation_splus_exhaustive_q7():
     q = P71.q
     for i in range(1, q - 1):
         for j in range(1, q - 1):
-            lhs = _oracle_product(i, j, "S_plus", P71)
-            assert lhs == s_product_closed(i, j, "S_plus", P71), (i, j)
+            lhs = ga_multiply(s_operator(i, P71), s_operator(j, P71), P71)
+            assert lhs == s_product_closed(i, j, P71), (i, j)
 
 
 def test_product_relation_mixed_exhaustive_q7():
-    # S_i S+_j follows the same shape with S-operators on the right side
+    # S_i S+_j follows the same shape with S-operators on the right side:
+    # J(i, j) S_{i+j}, or (-1)^(i+1) S_0 + (-1)^i q w, the left translate by
+    # w of the S+ form
     q = P71.q
     for i in range(1, q - 1):
         for j in range(1, q - 1):
-            lhs = _oracle_product(i, j, "S", P71)
-            assert lhs == s_product_closed(i, j, "S", P71), (i, j)
+            lhs = ga_multiply(s_by_oracle(i, P71), s_operator(j, P71), P71)
+            assert lhs == ga_act_matrix(GL2_W, s_product_closed(i, j, P71), P71), (i, j)
 
 
 def test_product_relation_sample_q49():
@@ -121,8 +120,8 @@ def test_product_relation_sample_q49():
     for _ in range(25):
         i = rng.randrange(1, q - 1)
         j = rng.randrange(1, q - 1)
-        lhs = _oracle_product(i, j, "S_plus", P72)
-        assert lhs == s_product_closed(i, j, "S_plus", P72), (i, j)
+        lhs = ga_multiply(s_operator(i, P72), s_operator(j, P72), P72)
+        assert lhs == s_product_closed(i, j, P72), (i, j)
 
 
 def test_contract_frozen_pair():
@@ -231,7 +230,6 @@ _KERNEL_FIELDS = {7: P71, 49: P72, 121: Params.make(11, 2), 343: Params.make(7, 
 # f = 3 is the first field whose inner field digits are folded recursively;
 # its oracle products are slow, so q = 343 runs as explicit examples only
 _qs = st.sampled_from([7, 49, 121])
-_cosets = st.sampled_from(["1", "w"])
 # coefficients come from a seeded random.Random: hypothesis's own randoms
 # favour small values, which would leave the slot widths untested
 _seeds = st.integers(0, 2**32)
@@ -241,46 +239,55 @@ def _key(coset, lam):
     return (1, 0, lam, 1) if coset == "1" else (lam, 1, 1, 0)
 
 
-def _sparse(rng, coset, density, params):
-    """Random coefficients, in canonical form, on a random part of cU-."""
+def _sparse(rng, density, params):
+    """Random coefficients, in canonical form, on a random part of U-."""
     out = {}
     for lam in range(params.q):
         if rng.random() < density:
             c = tuple(rng.randrange(params.pN) for _ in range(params.f))
             if any(c):
-                out[_key(coset, lam)] = c
+                out[_key("1", lam)] = c
     return out
 
 
+def _kernel_product(coset, x, y, params):
+    """x y by the kernel, for y on U- and x on cU-.  The kernel refuses an
+    x on wU-; its product is w ((w x) y), as S_i S+_j = w (S+_i S+_j)."""
+    if coset == "1":
+        return u_convolve(x, y, params)
+    with pytest.raises(ValueError):
+        u_convolve(x, y, params)
+    return ga_act_matrix(GL2_W, u_convolve(ga_act_matrix(GL2_W, x, params), y, params), params)
+
+
 @settings(max_examples=40, deadline=None)
-@given(_qs, _cosets, st.sampled_from([0.02, 0.2, 1.0]), _seeds)
-@example(343, "w", 1.0, 343)
-def test_u_convolve_matches_oracle_sparse(q, coset, density, seed):
+@given(_qs, st.sampled_from([0.02, 0.2, 1.0]), _seeds)
+@example(343, 1.0, 343)
+def test_u_convolve_matches_oracle_sparse(q, density, seed):
     params = _KERNEL_FIELDS[q]
     rng = random.Random(seed)
-    x = _sparse(rng, coset, density, params)
-    y = _sparse(rng, "1", density, params)
+    x = _sparse(rng, density, params)
+    y = _sparse(rng, density, params)
     assert u_convolve(x, y, params) == ga_multiply(x, y, params)
 
 
 @settings(max_examples=25, deadline=None)
-@given(_qs, st.sampled_from(["S", "S_plus"]), st.booleans(), st.data())
-def test_u_convolve_matches_oracle_augmented(q, variant, left, data):
-    # S_0 and S+_0 carry the extra w resp. identity term (lambda = 0)
+@given(_qs, st.booleans(), st.data())
+def test_u_convolve_matches_oracle_augmented(q, left, data):
+    # S+_0 carries the extra identity term (lambda = 0)
     params = _KERNEL_FIELDS[q]
     j = data.draw(st.integers(0, q - 1))
-    if left:
-        x, y = s_operator(0, variant, params), s_operator(j, "S_plus", params)
-    else:
-        x, y = s_operator(j, variant, params), s_operator(0, "S_plus", params)
+    x, y = s_operator(0, params), s_operator(j, params)
+    if not left:
+        x, y = y, x
     assert u_convolve(x, y, params) == ga_multiply(x, y, params)
 
 
 @settings(max_examples=30, deadline=None)
-@given(_qs, _cosets, _seeds)
-@example(343, "1", 343)
-@example(343, "w", 7)
-def test_u_convolve_drops_sums_that_cancel(q, coset, seed):
+@given(_qs, _seeds)
+@example(343, 343)
+@example(343, 7)
+def test_u_convolve_drops_sums_that_cancel(q, seed):
     params = _KERNEL_FIELDS[q]
     rng = random.Random(seed)
     T = tables_for(params)
@@ -292,15 +299,15 @@ def test_u_convolve_drops_sums_that_cancel(q, coset, seed):
     mu2 = T.add[T.add[lam2 * q + T.neg[lam]] * q + mu]
     c = tuple(rng.randrange(1, params.pN) for _ in range(params.f))
     a = (rng.randrange(1, params.p),) + (0,) * (params.f - 1)  # a unit
-    x = {_key(coset, lam): c, _key(coset, lam2): c}
+    x = {_key("1", lam): c, _key("1", lam2): c}
     y = {_key("1", mu): a, _key("1", mu2): witt_neg(a, params)}
     got = u_convolve(x, y, params)
     assert got == ga_multiply(x, y, params)
-    assert _key(coset, T.add[lam * q + mu2]) not in got
+    assert _key("1", T.add[lam * q + mu2]) not in got
     assert len(got) == 2
     # coefficients whose valuations add up to N multiply to 0 mod p^N
     k = rng.randrange(params.N + 1)
-    x = {_key(coset, lam): (params.p**k % params.pN,) + (0,) * (params.f - 1)}
+    x = {_key("1", lam): (params.p**k % params.pN,) + (0,) * (params.f - 1)}
     y = {_key("1", mu): (params.p ** (params.N - k) % params.pN,) + (0,) * (params.f - 1)}
     assert u_convolve(x, y, params) == ga_multiply(x, y, params) == {}
 
@@ -314,7 +321,7 @@ def test_u_convolve_extreme_coefficients(q, coset):
     top = (params.pN - 1,) * params.f
     x = {_key(coset, lam): top for lam in range(q)}
     y = {_key("1", lam): top for lam in range(q)}
-    assert u_convolve(x, y, params) == ga_multiply(x, y, params)
+    assert _kernel_product(coset, x, y, params) == ga_multiply(x, y, params)
 
 
 @pytest.mark.parametrize("q", [7, 49, 343])
@@ -328,10 +335,10 @@ def test_u_convolve_short_products(q, coset):
     for lams, mus in (([0], [0]), ([0, 1], [1]), ([1], [0, 1])):
         x = {_key(coset, lam): c for lam in lams}
         y = {_key("1", mu): a for mu in mus}
-        assert u_convolve(x, y, params) == ga_multiply(x, y, params)
+        assert _kernel_product(coset, x, y, params) == ga_multiply(x, y, params)
     # an operand that is 0 mod p^N packs to the number 0
     x = {_key(coset, 0): (params.pN,) * params.f}
-    assert u_convolve(x, {_key("1", 0): a}, params) == {}
+    assert _kernel_product(coset, x, {_key("1", 0): a}, params) == {}
 
 
 # tracemalloc peak of one u_convolve of the dense operands below under the
@@ -343,7 +350,7 @@ _U_CONVOLVE_PEAK_343 = 680791
 def test_u_convolve_peak_memory_q343():
     params = _KERNEL_FIELDS[343]
     rng = random.Random(343)
-    x, y = (_sparse(rng, "1", 1.0, params) for _ in range(2))
+    x, y = (_sparse(rng, 1.0, params) for _ in range(2))
     u_convolve(x, y, params)  # caches and tables built outside the trace
     tracemalloc.start()
     try:
@@ -355,17 +362,19 @@ def test_u_convolve_peak_memory_q343():
 
 
 def test_u_convolve_empty_operands():
-    assert u_convolve({}, s_operator(1, "S_plus", P72), P72) == {}
-    assert u_convolve(s_operator(1, "S", P72), {}, P72) == {}
+    assert u_convolve({}, s_operator(1, P72), P72) == {}
+    assert u_convolve(s_operator(1, P72), {}, P72) == {}
 
 
 def test_u_convolve_rejects_off_coset_operands():
     one = (1, 0)
-    sp, s = s_operator(3, "S_plus", P72), s_operator(3, "S", P72)
+    sp, s = s_operator(3, P72), s_by_oracle(3, P72)
     with pytest.raises(ValueError):
         u_convolve({(2, 0, 0, 1): one}, sp, P72)  # a torus element
     with pytest.raises(ValueError):
         u_convolve(ga_add(sp, {GL2_W: one}, P72), sp, P72)  # both cosets
+    with pytest.raises(ValueError):
+        u_convolve(s, sp, P72)  # left operand on wU-
     with pytest.raises(ValueError):
         u_convolve(sp, s, P72)  # right operand on wU-
     with pytest.raises(ValueError):
@@ -375,9 +384,9 @@ def test_u_convolve_rejects_off_coset_operands():
 
 
 def _oracle_contraction(indices, params):
-    prod = s_operator(indices[0], "S_plus", params)
+    prod = s_operator(indices[0], params)
     for i in indices[1:]:
-        prod = ga_multiply(prod, s_operator(i, "S_plus", params), params)
+        prod = ga_multiply(prod, s_operator(i, params), params)
     zero = (0,) * params.f
     alpha = prod.get((1, 0, 1, 1), zero)
     for lam in range(1, params.q):

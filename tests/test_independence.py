@@ -57,7 +57,6 @@ KERNEL = {
     "witt_mul_columns",
     "_parse_block",
     "_exact_multiply",
-    "_coset_of",
     "exchange_vectors",
     "_w_map",
     "_s_plus",

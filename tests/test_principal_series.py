@@ -29,7 +29,7 @@ from wittcycle.principal_series import (
     ps_act,
 )
 
-from test_group_algebra import random_gl2
+from test_group_algebra import random_gl2, s_by_oracle
 
 P7 = Params.make(7, 1)
 P7F2 = Params.make(7, 2)
@@ -94,16 +94,16 @@ def test_operator_shifts_eigencharacter():
     module = PSModule(chi, P7)
     phi = phi_vector(module)
     for i in range(1, 6):
-        down = ps_act(module, s_operator(i, "S", P7), phi)
+        down = ps_act(module, s_by_oracle(i, P7), phi)
         assert down and eigen_check(module, down, chi.swap().times_alpha(-i))
-        up = ps_act(module, s_operator(i, "S_plus", P7), phi)
+        up = ps_act(module, s_operator(i, P7), phi)
         assert up and eigen_check(module, up, chi.times_alpha(i))
 
 
 def test_augmented_upper_operator_kills_multiplicity_one_vectors():
     chi = make_char(2, 0, P7)
     module = PSModule(chi, P7)
-    s0p = s_operator(0, "S_plus", P7)
+    s0p = s_operator(0, P7)
     killed = 0
     for xi, vecs in h_components(module).items():
         if h_component_characters(module)[xi] == 1:
@@ -127,7 +127,7 @@ def test_composition_identity_on_eigenvectors():
             chi = make_char(m1, m2, params)
             module = PSModule(chi, params)
             phi = phi_vector(module)
-            s0phi = ps_act(module, s_operator(0, "S", params), phi)
+            s0phi = ps_act(module, s_by_oracle(0, params), phi)
             cases = [
                 (phi, (chi.m1 - chi.m2) % (q - 1), chi.m2),
                 (s0phi, (chi.m2 - chi.m1) % (q - 1), chi.m1),
@@ -144,15 +144,15 @@ def test_composition_identity_on_eigenvectors():
                 for i, j in pairs:
                     lhs = ps_act(
                         module,
-                        s_operator(i, "S", params),
-                        ps_act(module, s_operator(j, "S", params), v),
+                        s_by_oracle(i, params),
+                        ps_act(module, s_by_oracle(j, params), v),
                     )
                     red = (i - j - rprime) % (q - 1)
                     jac = jacobi_sum(i, (-j - rprime) % (q - 1), "J0", params)
                     if eta_exp % 2:
                         jac = witt_neg(jac, params)
                     rhs = scale_vector(
-                        ps_act(module, s_operator(red, "S", params), v), jac, params
+                        ps_act(module, s_by_oracle(red, params), v), jac, params
                     )
                     assert lhs == rhs, (params.p, params.f, (m1, m2), i, j)
 
@@ -218,12 +218,12 @@ def test_chart_vectors_match_generic_action(params):
             chi = make_char(rng.randrange(q - 1), rng.randrange(q - 1), work)
             module = PSModule(chi, work)
             phi = phi_vector(module)
-            s0phi = ps_act(module, s_operator(0, "S", work), phi)
+            s0phi = ps_act(module, s_by_oracle(0, work), phi)
             for i in sorted({0, q - 1, chi.a_exponent(), rng.randrange(1, q - 1)}):
                 want = (
                     s0phi,
-                    ps_act(module, s_operator(i, "S", work), s0phi),
-                    ps_act(module, s_operator(q - 1 - i, "S_plus", work), phi),
+                    ps_act(module, s_by_oracle(i, work), s0phi),
+                    ps_act(module, s_operator(q - 1 - i, work), phi),
                 )
                 got = tuple(ps_act(module, y, phi) for y in exchange_vectors(module, i))
                 assert got == want, (work.N, chi, i)
@@ -347,8 +347,24 @@ def test_ps_act_matches_reference_dense(params, seed):
         g = random_gl2(rng, params)
         assert ps_act(module, g, v) == _ps_act_ref(module, g, v)
     x = {random_gl2(rng, params): coeff() for _ in range(40)}
-    x.update(s_operator(rng.randrange(q), "S", params))
+    x.update(s_by_oracle(rng.randrange(q), params))
     assert ps_act(module, x, v) == _ps_act_ref(module, x, v)
+
+
+def test_ps_act_reads_each_scalar_with_one_lookup(monkeypatch):
+    # chi(b)^(-1) is read at the exponent -(m1 dlog d1 + m2 dlog d2): one
+    # lookup per term pair, no pow_code call
+    rng = random.Random(4903)
+    q = P7F2.q
+    module = PSModule(make_char(10, 3, P7F2), P7F2)
+    v = {lbl: tuple(rng.randrange(P7F2.pN) for _ in range(2)) for lbl in range(q + 1)}
+    x = {random_gl2(rng, P7F2): witt_one(P7F2) for _ in range(10)}
+    x.update(s_by_oracle(5, P7F2))
+    want = _ps_act_ref(module, x, v)
+    calls = []
+    monkeypatch.setattr(_tables.FieldTables, "pow_code", lambda self, a, e: calls.append((a, e)))
+    assert ps_act(module, x, v) == want
+    assert calls == []
 
 
 @_ORACLE_FIELDS
