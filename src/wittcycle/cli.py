@@ -17,7 +17,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from wittcycle._tables import tables_for
 from wittcycle.constants import breuil_constant, theorem_form
@@ -443,17 +443,7 @@ def _constant_item(cyc, rho, mode, params):
     outputs["ledger"] = rep.valuation_ledger
     outputs["pieces"] = rep.pieces
     if rep.steps is not None:
-        outputs["steps"] = [
-            {
-                "index": st.index,
-                "i_psi": st.i_psi,
-                "jacobi_b": st.jacobi_b,
-                "valuation": st.valuation,
-                "lead": st.lead,
-                "degenerate": st.degenerate,
-            }
-            for st in rep.steps
-        ]
+        outputs["steps"] = [asdict(st) for st in rep.steps]
     checks = [_check("valuation ledger cancels", 0, sum(v for _, v in rep.valuation_ledger))]
     if mode == "stepwise":
         checks.append(_check("routes agree", rep.g_closed, rep.g_stepwise))
@@ -669,25 +659,12 @@ def _cmd_selftest(ns, params):
     return None, items
 
 
-_HANDLERS = {
-    "field-info": _cmd_field_info,
-    "jacobi": _cmd_jacobi,
-    "stickelberger-scan": _cmd_stickelberger_scan,
-    "contract": _cmd_contract,
-    "weights": _cmd_weights,
-    "cycles": _cmd_cycles,
-    "constant": _cmd_constant,
-    "jh-intersect": _cmd_jh_intersect,
-    "selftest": _cmd_selftest,
-}
-
-
 def run(ns):
     """The report of one parsed command line (a build_parser() namespace)."""
     t0 = time.monotonic()
     params = Params.make(ns.p, ns.f, N=ns.N)
     try:
-        rho_json, items = _HANDLERS[ns.command](ns, params)
+        rho_json, items = ns.handler(ns, params)
     except ArithmeticError as e:
         rho_json = None
         items = [
@@ -766,55 +743,54 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--p", type=int, required=True, help="prime, at least 7")
-        sp.add_argument("--f", type=int, required=True, help="residue degree")
-        sp.add_argument("--N", type=int, default=None, help="precision override")
-        sp.add_argument("--json", action="store_true", help="emit the JSON schema")
-        sp.add_argument("--out", default=None, help="write the report to FILE")
-        sp.add_argument("--seed", type=int, default=0, help="seed for sampled suites")
-        sp.add_argument("--jobs", type=int, default=1, help="worker processes")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--p", type=int, required=True, help="prime, at least 7")
+    common.add_argument("--f", type=int, required=True, help="residue degree")
+    common.add_argument("--N", type=int, default=None, help="precision override")
+    common.add_argument("--json", action="store_true", help="emit the JSON schema")
+    common.add_argument("--out", default=None, help="write the report to FILE")
+    common.add_argument("--seed", type=int, default=0, help="seed for sampled suites")
+    common.add_argument("--jobs", type=int, default=1, help="worker processes")
 
-    def rho_args(sp):
-        sp.add_argument(
-            "--kind",
-            required=True,
-            choices=["irr", "red", "irreducible", "reducible", "reducible-split"],
-        )
-        sp.add_argument(
-            "--r", type=_int_list, required=True, help="comma list (single value repeats)"
-        )
-        sp.add_argument("--alpha", type=_alpha, default="1", help="unit, int or comma digit list")
-        sp.add_argument("--alpha-prime", type=_alpha, default=None, dest="alpha_prime")
+    rho = argparse.ArgumentParser(add_help=False, parents=[common])
+    rho.add_argument(
+        "--kind",
+        required=True,
+        choices=["irr", "red", "irreducible", "reducible", "reducible-split"],
+    )
+    rho.add_argument(
+        "--r", type=_int_list, required=True, help="comma list (single value repeats)"
+    )
+    rho.add_argument("--alpha", type=_alpha, default="1", help="unit, int or comma digit list")
+    rho.add_argument("--alpha-prime", type=_alpha, default=None, dest="alpha_prime")
 
-    sp = sub.add_parser("field-info", help="field, modulus, generator lift")
-    common(sp)
+    sp = sub.add_parser("field-info", parents=[common], help="field, modulus, generator lift")
+    sp.set_defaults(handler=_cmd_field_info)
 
-    sp = sub.add_parser("jacobi", help="one Jacobi sum with its digit checks")
-    common(sp)
+    sp = sub.add_parser("jacobi", parents=[common], help="one Jacobi sum with its digit checks")
+    sp.set_defaults(handler=_cmd_jacobi)
     sp.add_argument("--a", type=int, required=True)
     sp.add_argument("--b", type=int, required=True)
     sp.add_argument("--convention", choices=["standard", "J0"], default="standard")
 
-    sp = sub.add_parser("stickelberger-scan", help="valuations and leads over all pairs")
-    common(sp)
+    sp = sub.add_parser(
+        "stickelberger-scan", parents=[common], help="valuations and leads over all pairs"
+    )
+    sp.set_defaults(handler=_cmd_stickelberger_scan)
     sp.add_argument("--limit", type=int, default=None, help="sample this many pairs")
 
-    sp = sub.add_parser("contract", help="decompose an operator chain")
-    common(sp)
+    sp = sub.add_parser("contract", parents=[common], help="decompose an operator chain")
+    sp.set_defaults(handler=_cmd_contract)
     sp.add_argument("--indices", type=_int_list, required=True, help="comma list of exponents")
 
-    sp = sub.add_parser("weights", help="weights, characters, component tables")
-    common(sp)
-    rho_args(sp)
+    sp = sub.add_parser("weights", parents=[rho], help="weights, characters, component tables")
+    sp.set_defaults(handler=_cmd_weights)
 
-    sp = sub.add_parser("cycles", help="delta orbits with step exponents")
-    common(sp)
-    rho_args(sp)
+    sp = sub.add_parser("cycles", parents=[rho], help="delta orbits with step exponents")
+    sp.set_defaults(handler=_cmd_cycles)
 
-    sp = sub.add_parser("constant", help="diagram constant by both routes")
-    common(sp)
-    rho_args(sp)
+    sp = sub.add_parser("constant", parents=[rho], help="diagram constant by both routes")
+    sp.set_defaults(handler=_cmd_constant)
     sp.add_argument(
         "--cycle-start",
         type=_cycle_start,
@@ -824,14 +800,13 @@ def build_parser():
     )
     sp.add_argument("--mode", choices=["stepwise", "closed"], default="stepwise")
 
-    sp = sub.add_parser("jh-intersect", help="constituents cut out by a type")
-    common(sp)
-    rho_args(sp)
+    sp = sub.add_parser("jh-intersect", parents=[rho], help="constituents cut out by a type")
+    sp.set_defaults(handler=_cmd_jh_intersect)
     sp.add_argument("--w", type=_word, required=True, help="comma list of id/s")
     sp.add_argument("--w-prime", type=_word, required=True, dest="w_prime")
 
-    sp = sub.add_parser("selftest", help="aggregate verification battery")
-    common(sp)
+    sp = sub.add_parser("selftest", parents=[common], help="aggregate verification battery")
+    sp.set_defaults(handler=_cmd_selftest)
     sp.add_argument("--level", choices=["quick", "full"], default="quick")
 
     return parser

@@ -22,7 +22,6 @@ from wittcycle.jacobi import jacobi_sum
 from wittcycle.padic import (
     valuation_and_unit,
     witt_from_int,
-    witt_inv,
     witt_mul,
     witt_neg,
     witt_one,
@@ -337,8 +336,6 @@ def theorem_form(report, rho, params):
         return witt_mul(eps, sign, fq)
     size = len(cycle.subsets[0])
     expo = (f - 2 * size) * k // f
-    if expo >= 0:
-        unit = witt_pow(rho.alpha, expo, fq)
-    else:
-        unit = witt_pow(witt_inv(rho.alpha, fq), -expo, fq)
+    # alpha is a unit mod p, so alpha^(q-1) = 1
+    unit = witt_pow(rho.alpha, expo % (params.q - 1), fq)
     return witt_mul(eps, unit, fq)

@@ -101,18 +101,6 @@ def gl2_inv(g, params):
     )
 
 
-def ga_add(x, y, params):
-    out = dict(x)
-    for g, c in y.items():
-        prev = out.get(g)
-        s = witt_add(prev, c, params) if prev else c
-        if any(s):
-            out[g] = s
-        elif prev:
-            del out[g]
-    return out
-
-
 def scale_vector(vec, w, params):
     """The vector times the scalar w, zero coordinates dropped."""
     cols = list(zip(*vec.values())) or [()] * params.f
@@ -282,11 +270,10 @@ def s_product_closed(i, j, params):
         return scale_vector(s_operator(m, params), jacobi_sum(i, j, "standard", params), params)
     sign0 = 1 if (i + 1) % 2 == 0 else -1
     signq = q if i % 2 == 0 else -q
-    return ga_add(
-        scale_vector(s_operator(0, params), witt_from_int(sign0, params), params),
-        {GL2_ID: witt_from_int(signq, params)},
-        params,
-    )
+    out = scale_vector(s_operator(0, params), witt_from_int(sign0, params), params)
+    # S+_0 is 1 at the identity, so that coordinate is a unit plus q
+    out[GL2_ID] = witt_add(out[GL2_ID], witt_from_int(signq, params), params)
+    return out
 
 
 def contraction_valuation(indices, params):

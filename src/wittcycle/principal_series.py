@@ -197,10 +197,13 @@ def h_components(module):
     """
     params = module.params
     T = _tables.tables_for(params)
+    exp, dlog = T.exp, T.dlog
     teich = _tables.teich_by_code(params)
     q = params.q
+    # entry lam of vector j is [lam]^j, read off dlog as [g^(dlog(lam) j)]
     vecs = [{0: witt_one(params)}, {1: witt_one(params)}] + [
-        {1 + lam: teich[T.pow_code(lam, j)] for lam in range(1, q)} for j in range(q - 1)
+        {1 + lam: teich[exp[dlog[lam] * j % (q - 1)]] for lam in range(1, q)}
+        for j in range(q - 1)
     ]
     out = {}
     for xi, vec in zip(_torus_characters(module), vecs):
@@ -214,9 +217,10 @@ def eigen_check(module, vec, xi):
     params = module.params
     T = _tables.tables_for(params)
     teich = _tables.teich_by_code(params)
-    g = T.generator
+    g = T.generator  # exp[1], so g^expo is exp[expo mod q-1]
     for h, expo in [((g, 0, 0, 1), xi.m1), ((1, 0, 0, g), xi.m2)]:
-        if ps_act(module, h, vec) != scale_vector(vec, teich[T.pow_code(g, expo)], params):
+        scal = teich[T.exp[expo % (params.q - 1)]]
+        if ps_act(module, h, vec) != scale_vector(vec, scal, params):
             return False
     return True
 
@@ -290,13 +294,10 @@ def exchange_constant(psi_s, i_psi, params):
     i_psi = int(i_psi)
     if not 0 < i_psi < q - 1:
         raise ValueError("need 0 < i_psi < q-1")
-    module = PSModule(psi_s, params)
-    target = psi_s.times_alpha(-i_psi)
-    mult = h_component_characters(module).get(target, 0)
-    if mult != 1:
-        raise ExchangeError(
-            "target character has multiplicity %d in the induced module" % mult
-        )
+    # the targets for 0 < i_psi < q-1 are simple but for psi_s swapped,
+    # which h_component_characters counts twice
+    if psi_s.times_alpha(-i_psi) == psi_s.swap():
+        raise ExchangeError("target character has multiplicity 2 in the induced module")
     i_plus = q - 1 - i_psi
     c, used = escalate(lambda work: _exchange_once(psi_s, i_psi, work), params, "exchange constant")
     return c, i_plus, used

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -271,7 +272,7 @@ def test_unresolved_valuation_is_a_failing_check(capsys, argv):
     assert rep["summary"]["fail"] > 0
 
 
-# sha256 of ten --json reports, all quick but one at the full level, pinned so
+# sha256 of 13 --json reports, 11 quick and two at the full level, pinned so
 # that a change meant to keep the output byte for byte is checked on every
 # test run
 _REPORT_DIGESTS = [
@@ -340,6 +341,26 @@ def test_import_leaves_the_process_pool_unloaded():
     proc = _python("-c", "import sys, wittcycle.cli; print('concurrent.futures' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+# the flags each verb requires beyond --p and --f
+_VERB_ARGS = {
+    "jacobi": "--a 1 --b 2",
+    "contract": "--indices 1,5",
+    "weights": "--kind irr --r 2",
+    "cycles": "--kind irr --r 2",
+    "constant": "--kind irr --r 2",
+    "jh-intersect": "--kind irr --r 2 --w id --w-prime s",
+}
+
+
+def test_every_verb_dispatches_to_its_handler():
+    parser = build_parser()
+    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert len(verbs) == 9
+    for verb in verbs:
+        ns = parser.parse_args([verb, "--p", "7", "--f", "1"] + _VERB_ARGS.get(verb, "").split())
+        assert ns.handler is getattr(cli, "_cmd_" + verb.replace("-", "_"))
 
 
 def test_run_api_direct():

@@ -195,8 +195,23 @@ def test_exchange_degenerate_multiplicity_two():
     for (m1, m2), i_psi in [((2, 0), 2), ((0, 2), 4)]:
         psi_s = make_char(m1, m2, P7)
         assert psi_s.times_alpha(-i_psi) == psi_s.swap()
-        with pytest.raises(ExchangeError):
+        with pytest.raises(ExchangeError, match="multiplicity 2"):
             exchange_constant(psi_s, i_psi, P7)
+
+
+@pytest.mark.parametrize("params", [P7, P7F2, Params.make(11, 1)], ids=["q7", "q49", "q11"])
+def test_exchange_degeneracy_rule_matches_torus_count(params):
+    # exchange_constant refuses a step when its target is psi_s swapped: for
+    # 0 < i < q-1 that is exactly when the torus count of the target is 2,
+    # and every other target is simple
+    m = params.q - 1
+    for m1 in range(m):
+        for m2 in range(m):
+            psi_s = make_char(m1, m2, params)
+            counts = h_component_characters(PSModule(psi_s, params))
+            for i in range(1, m):
+                target = psi_s.times_alpha(-i)
+                assert counts.get(target, 0) == 1 + (target == psi_s.swap())
 
 
 def test_exchange_validates_index_range():
@@ -364,6 +379,29 @@ def test_ps_act_reads_each_scalar_with_one_lookup(monkeypatch):
     calls = []
     monkeypatch.setattr(_tables.FieldTables, "pow_code", lambda self, a, e: calls.append((a, e)))
     assert ps_act(module, x, v) == want
+    assert calls == []
+
+
+@pytest.mark.parametrize("params, m1, m2", [(P7F2, 10, 3), (P11F2, 7, 2)], ids=["q49", "q121"])
+def test_h_components_and_eigen_check_read_powers_off_dlog(monkeypatch, params, m1, m2):
+    # entry lam of vector j is [lam]^j = [g^(dlog(lam) j)], and the torus
+    # scalar [g]^expo is [g^(expo mod q-1)]: no pow_code call; the reference
+    # builds the vectors with pow_code, an independent path
+    q, T, teich = params.q, _tables.tables_for(params), _tables.teich_by_code(params)
+    chi = make_char(m1, m2, params)
+    module = PSModule(chi, params)
+    chars = [chi, chi.swap()] + [chi.swap().times_alpha(-j) for j in range(q - 1)]
+    vecs = [{0: witt_one(params)}, {1: witt_one(params)}] + [
+        {1 + lam: teich[T.pow_code(lam, j)] for lam in range(1, q)} for j in range(q - 1)
+    ]
+    want = {}
+    for xi, vec in zip(chars, vecs):
+        want.setdefault(xi, []).append(vec)
+    calls = []
+    monkeypatch.setattr(_tables.FieldTables, "pow_code", lambda self, a, e: calls.append((a, e)))
+    assert h_components(module) == want
+    assert all(eigen_check(module, vec, xi) for xi, vec in zip(chars, vecs))
+    assert not any(eigen_check(module, vec, xi.times_alpha(1)) for xi, vec in zip(chars, vecs))
     assert calls == []
 
 
