@@ -291,6 +291,8 @@ def exchange_constant(psi_s, i_psi, params):
     Returns (c, i_plus, params_used).
     """
     q = params.q
+    if psi_s.qm1 != q - 1:
+        raise ValueError("character does not match the field size")
     i_psi = int(i_psi)
     if not 0 < i_psi < q - 1:
         raise ValueError("need 0 < i_psi < q-1")

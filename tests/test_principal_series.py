@@ -56,15 +56,21 @@ def test_phi_is_unipotent_fixed_eigenvector():
 
 
 def test_all_declared_components_are_eigenvectors():
-    for params, (m1, m2) in [(P7, (3, 1)), (P7F2, (10, 2))]:
+    # and they are phi, w phi and the vectors lam -> [lam]^j, built for the
+    # reference with pow_code, independently of the dlog lookup
+    for params, (m1, m2) in [(P7, (3, 1)), (P7F2, (10, 2)), (P11F2, (7, 2))]:
+        q, T, teich = params.q, _tables.tables_for(params), _tables.teich_by_code(params)
         chi = make_char(m1, m2, params)
         module = PSModule(chi, params)
-        total = 0
+        got = []
         for xi, vecs in h_components(module).items():
             for v in vecs:
-                total += 1
+                got.append(v)
                 assert eigen_check(module, v, xi)
-        assert total == params.q + 1
+        want = [{0: witt_one(params)}, {1: witt_one(params)}] + [
+            {1 + lam: teich[T.pow_code(lam, j)] for lam in range(1, q)} for j in range(q - 1)
+        ]
+        assert sorted(sorted(v.items()) for v in got) == sorted(sorted(v.items()) for v in want)
 
 
 def test_action_is_multiplicative():
@@ -219,6 +225,12 @@ def test_exchange_validates_index_range():
     for bad in (0, 48, -3):
         with pytest.raises(ValueError):
             exchange_constant(psi_s, bad, P7F2)
+
+
+def test_exchange_rejects_a_character_of_another_field():
+    # (2, 0) at i = 2 is degenerate for q = 7; at q = 49 it is a bad input
+    with pytest.raises(ValueError, match="field size"):
+        exchange_constant(make_char(2, 0, P7), 2, P7F2)
 
 
 @pytest.mark.parametrize("params", [P7, P7F2, P11F2], ids=["q7", "q49", "q121"])
@@ -379,29 +391,6 @@ def test_ps_act_reads_each_scalar_with_one_lookup(monkeypatch):
     calls = []
     monkeypatch.setattr(_tables.FieldTables, "pow_code", lambda self, a, e: calls.append((a, e)))
     assert ps_act(module, x, v) == want
-    assert calls == []
-
-
-@pytest.mark.parametrize("params, m1, m2", [(P7F2, 10, 3), (P11F2, 7, 2)], ids=["q49", "q121"])
-def test_h_components_and_eigen_check_read_powers_off_dlog(monkeypatch, params, m1, m2):
-    # entry lam of vector j is [lam]^j = [g^(dlog(lam) j)], and the torus
-    # scalar [g]^expo is [g^(expo mod q-1)]: no pow_code call; the reference
-    # builds the vectors with pow_code, an independent path
-    q, T, teich = params.q, _tables.tables_for(params), _tables.teich_by_code(params)
-    chi = make_char(m1, m2, params)
-    module = PSModule(chi, params)
-    chars = [chi, chi.swap()] + [chi.swap().times_alpha(-j) for j in range(q - 1)]
-    vecs = [{0: witt_one(params)}, {1: witt_one(params)}] + [
-        {1 + lam: teich[T.pow_code(lam, j)] for lam in range(1, q)} for j in range(q - 1)
-    ]
-    want = {}
-    for xi, vec in zip(chars, vecs):
-        want.setdefault(xi, []).append(vec)
-    calls = []
-    monkeypatch.setattr(_tables.FieldTables, "pow_code", lambda self, a, e: calls.append((a, e)))
-    assert h_components(module) == want
-    assert all(eigen_check(module, vec, xi) for xi, vec in zip(chars, vecs))
-    assert not any(eigen_check(module, vec, xi.times_alpha(1)) for xi, vec in zip(chars, vecs))
     assert calls == []
 
 
