@@ -720,6 +720,16 @@ def _int_list(text):
     return _ints(x for x in text.split(",") if x.strip() != "")
 
 
+def _at_least_1(text):
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected an integer") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError("expected at least 1, got %d" % n)
+    return n
+
+
 def _alpha(text):
     vals = _int_list(text)
     return vals[0] if len(vals) == 1 else vals
@@ -750,7 +760,7 @@ def build_parser():
     common.add_argument("--json", action="store_true", help="emit the JSON schema")
     common.add_argument("--out", default=None, help="write the report to FILE")
     common.add_argument("--seed", type=int, default=0, help="seed for sampled suites")
-    common.add_argument("--jobs", type=int, default=1, help="worker processes")
+    common.add_argument("--jobs", type=_at_least_1, default=1, help="worker processes")
 
     rho = argparse.ArgumentParser(add_help=False, parents=[common])
     rho.add_argument(
@@ -777,7 +787,7 @@ def build_parser():
         "stickelberger-scan", parents=[common], help="valuations and leads over all pairs"
     )
     sp.set_defaults(handler=_cmd_stickelberger_scan)
-    sp.add_argument("--limit", type=int, default=None, help="sample this many pairs")
+    sp.add_argument("--limit", type=_at_least_1, default=None, help="sample this many pairs")
 
     sp = sub.add_parser("contract", parents=[common], help="decompose an operator chain")
     sp.set_defaults(handler=_cmd_contract)

@@ -8,21 +8,31 @@ alpha = 1 term exactly when b = 0), while 'J0' reads [0]^0 = 0 and drops
 both boundary terms, making the result depend on a, b mod q-1 only.
 
 The sum is indexed by Zech logarithms: alpha = g^k runs over k in [1, q-2],
-1 - alpha = g^zech[k], so each term is the Teichmuller power
-[g]^((a k + b zech[k]) mod (q-1)).  The q-2 terms are still added one by
-one, as integers packed in t (padic.witt_pack) with one slot per Witt
-component, each slot wide enough for (q-2)(p^N-1) so that no slot carries
-into the next.
+1 - alpha = g^zech[k], so the term at alpha is the Teichmuller power
+[g]^e with e = (a k + b zech[k]) mod (q-1).  Frobenius groups the terms:
+(1 - alpha)^p = 1 - alpha^p gives zech[k p] = p zech[k] mod q-1, so the
+term at alpha^(p^j) is [g]^(e p^j).  The orbit of alpha under alpha ->
+alpha^p has f elements unless alpha lies in a proper subfield, and its
+terms add up to the orbit sum [g]^e + [g]^(e p) + ... + [g]^(e p^(f-1)).
+One table per field and precision holds the orbit sum for every e in
+[0, q-2], then the single powers [g]^e.  A call reads one lane per full
+orbit, at its least k with offset 0, and one lane per element of a proper
+subfield, with offset q-1 into the single powers: (q-2-s)/f + s lanes,
+s the number of such elements, 440 + 9 at q = 1331 instead of 1329.
+Every term is still added exactly once, as integers packed in t
+(padic.witt_pack) with one slot per Witt component; a slot is wide enough
+for (q-2)(p^N-1), so no sum carries into the next slot.
 
-The q-2 exponents come from one pass over big integers.  Once per field,
-k and zech[k] are packed into the 64-bit lanes of two integers K and Z;
-a call forms E = a K + b Z, whose lanes e stay below 2 m^2 with m = q-1,
-and reduces every lane mod m at once by multiply-shift division by the
-invariant m: floor(e/m) = (e c) >> S with S = bit_length(2 m^3) and
-c = ceil(2^S / m).  Writing c m = 2^S + d with 0 <= d < m, the error term
-e d / (m 2^S) stays below 1/m because e d < 2 m^3 < 2^S, so the floor is
-exact for every e < 2 m^2; and e c < 2^50 at q = 4096, so no lane product
-carries into the next lane.
+The exponents come from one pass over big integers.  Once per field, the
+lanes' k, zech[k] and offsets are packed into the 64-bit lanes of three
+integers K, Z and O; a call forms E = a K + b Z, whose lanes e stay below
+2 m^2 with m = q-1, reduces every lane mod m at once and adds O, which
+leaves every lane an index below 2 m into the table.  The reduction is
+multiply-shift division by the invariant m: floor(e/m) = (e c) >> S with
+S = bit_length(2 m^3) and c = ceil(2^S / m).  Writing c m = 2^S + d with
+0 <= d < m, the error term e d / (m 2^S) stays below 1/m because
+e d < 2 m^3 < 2^S, so the floor is exact for every e < 2 m^2; and
+e c < 2^50 at q = 4096, so no lane product carries into the next lane.
 
 stickelberger_data predicts the valuation and the leading digit of the sum
 from base-p digit counting, without summing anything; the two routes are
@@ -82,10 +92,30 @@ def _lanes_mod(x, m, n):
 
 
 @lru_cache(maxsize=None)
+def _lane_table(params):
+    """The table the lanes index, and width: for every exponent e in
+    [0, q-2] the orbit sum [g]^e + [g]^(e p) + ... + [g]^(e p^(f-1)), then
+    the single powers [g]^e, all packed as in _packed_powers."""
+    packed, width = _packed_powers(params)
+    m = len(packed)
+    steps = [params.p**j % m for j in range(params.f)]
+    return [sum(packed[e * s % m] for s in steps) for e in range(m)] + packed, width
+
+
+@lru_cache(maxsize=None)
 def _exponent_lanes(p, f, modulus):
-    """k and zech[k] for k in [1, q-2], packed into lanes: K and Z."""
+    """The lanes of one pass over alpha = g^k, k in [1, q-2]: K, Z and the
+    offsets O, packed, and their number.  The least k of each Frobenius
+    orbit of size f comes first, with offset 0 (its orbit sum); then every
+    k with alpha in a proper subfield, with offset q-1 (its single power)."""
     zech = _tables.field_tables(p, f, modulus).zech
-    return _pack_lanes(range(1, len(zech))), _pack_lanes(zech[1:])
+    m = len(zech)
+    orbits = [[k * p**j % m for j in range(f)] for k in range(1, m)]
+    reps = [o[0] for o in orbits if o[0] == min(o) and len(set(o)) == f]
+    subfield = [o[0] for o in orbits if len(set(o)) < f]
+    ks = reps + subfield
+    offsets = [0] * len(reps) + [m] * len(subfield)
+    return _pack_lanes(ks), _pack_lanes([zech[k] for k in ks]), _pack_lanes(offsets), len(ks)
 
 
 def jacobi_sum(a, b, zero_convention, params):
@@ -97,12 +127,12 @@ def jacobi_sum(a, b, zero_convention, params):
     b = int(b)
     if not (0 <= a <= q - 1 and 0 <= b <= q - 1):
         raise ValueError("exponents must be literal integers in [0, q-1]")
-    packed, width = _packed_powers(params)
-    K, Z = _exponent_lanes(params.p, params.f, params.modulus)
+    table, width = _lane_table(params)
+    K, Z, O, n = _exponent_lanes(params.p, params.f, params.modulus)
     # alpha = g^k over k in [1, q-2] skips the boundary elements 0 and 1;
-    # lane k-1 of the reduced sum is the exponent of the term at g^k
-    exponents = _unpack_lanes(_lanes_mod(a * K + b * Z, q - 1, q - 2), q - 2)
-    acc = sum(map(packed.__getitem__, exponents))
+    # a lane holds the exponent e of the term at its g^k, plus its offset
+    indices = _unpack_lanes(_lanes_mod(a * K + b * Z, q - 1, n) + O, n)
+    acc = sum(map(table.__getitem__, indices))
     out = witt_unpack(acc, width, params.f - 1, params)
     if zero_convention == "standard":
         if a == 0:

@@ -174,15 +174,21 @@ def test_cycle_start_outside_z_mod_f_exit_2(capsys):
         (["weights", "--kind", "irr", "--r", "2,x"], "--r"),
         (["contract", "--indices", "1,x"], "--indices"),
         (["constant", "--kind", "irr", "--r", "2", "--cycle-start", "a"], "--cycle-start"),
+        (["stickelberger-scan", "--limit", "-1"], "--limit"),
+        (["stickelberger-scan", "--limit", "0"], "--limit"),
+        (["stickelberger-scan", "--limit", "x"], "--limit"),
+        (["stickelberger-scan", "--jobs", "-2"], "--jobs"),
+        (["constant", "--kind", "irr", "--r", "2", "--jobs", "0"], "--jobs"),
     ],
 )
 def test_malformed_list_exit_2_names_flag(argv, flag):
-    # argparse rejects the value, so the message names the flag
+    # argparse rejects the value, so the message names the flag; counts
+    # below 1 are rejected the same way
     argv = argv[:1] + ["--p", "7", "--f", "1"] + argv[1:]
     proc = _python("-m", "wittcycle.cli", *argv)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert flag in proc.stderr
+    assert "argument %s: " % flag in proc.stderr
 
 
 def test_cycle_start_all_is_the_default(capsys):

@@ -39,6 +39,7 @@ NUMERIC = [
 JACOBI = [
     "jacobi_sum",
     "_packed_powers",
+    "_lane_table",
     "_exponent_lanes",
     "_lanes_mod",
     "_lane_divisor",

@@ -5,7 +5,9 @@ import pytest
 from wittcycle import jacobi
 from wittcycle._tables import MAX_TABLE_Q, tables_for, teich_by_code
 from wittcycle.jacobi import (
+    _exponent_lanes,
     _lane_divisor,
+    _lane_table,
     _lanes_mod,
     _pack_lanes,
     _packed_powers,
@@ -286,11 +288,58 @@ def test_jacobi_sums_lie_in_zp(p, f, convention):
 
 
 def test_zp_check_catches_a_perturbed_teichmuller_entry(monkeypatch):
-    # [g]^5 off by t at q = 49: every sum with a term [g]^5 leaves Z_p
+    # [g]^5 off by t at q = 49: every sum with a term [g]^5 leaves Z_p; the
+    # lane table is rebuilt from the perturbed powers, so the orbit sums
+    # that hold [g]^5 carry the error too
     packed, width = _packed_powers(P72)
     bad = list(packed)
     bad[5] += 1 << width
     monkeypatch.setattr(jacobi, "_packed_powers", lambda params: (bad, width))
+    table = _lane_table.__wrapped__(P72)
+    monkeypatch.setattr(jacobi, "_lane_table", lambda params: table)
     pairs = _sampled_pairs(P72, 100, 49)
     broken = [ab for ab in pairs if any(jacobi_sum(*ab, "J0", P72)[1:])]
     assert len(broken) >= 10
+
+
+def _lanes(params):
+    """(k, zech lane, offset) for every lane of _exponent_lanes."""
+    K, Z, O, n = _exponent_lanes(params.p, params.f, params.modulus)
+    return list(zip(*(_unpack_lanes(x, n) for x in (K, Z, O))))
+
+
+@pytest.mark.parametrize("p, f", [(7, 1), (7, 2), (11, 3), (7, 4)], ids=["q7", "q49", "q1331", "q2401"])
+def test_orbit_lanes_partition_the_exponents(p, f):
+    # the full Frobenius orbits of the representatives and the elements of
+    # the proper subfields cover alpha = g^k, k in [1, q-2], once each
+    P = Params.make(p, f)
+    m = P.q - 1
+    zech = tables_for(P).zech
+    covered = []
+    for k, z, offset in _lanes(P):
+        assert z == zech[k]
+        orbit = {k * p**j % m for j in range(f)}
+        if offset == 0:
+            assert len(orbit) == f and k == min(orbit), k
+            covered += orbit
+        else:
+            assert offset == m and len(orbit) < f, k
+            covered.append(k)
+    assert sorted(covered) == list(range(1, m))
+    subfield = [k for k, _, offset in _lanes(P) if offset]
+    # besides 0 and 1: F_7 holds 5 elements, F_11 9, and F_49 47 (F_7's among them)
+    assert len(subfield) == {(7, 1): 0, (7, 2): 5, (11, 3): 9, (7, 4): 47}[p, f]
+
+
+def test_dropped_orbit_representative_disagrees_with_oracle(monkeypatch):
+    # a pass that skips the orbit of alpha = g misses [g]^e + [g]^(7e) with
+    # e = a + b zech[1]; that sum is 0 exactly when (g^e)^6 = -1, that is
+    # when e = 4 mod 8, so every other pair must come out wrong
+    K, Z, O, n = _exponent_lanes(P72.p, P72.f, P72.modulus)
+    assert (K & ((1 << 64) - 1), O & ((1 << 64) - 1)) == (1, 0)
+    monkeypatch.setattr(jacobi, "_exponent_lanes", lambda *key: (K >> 64, Z >> 64, O >> 64, n - 1))
+    z1 = tables_for(P72).zech[1]
+    pairs = _sampled_pairs(P72, 100, 49)
+    wrong = [ab for ab in pairs if jacobi_sum(*ab, "J0", P72) != _oracle_jacobi(*ab, "J0", P72)]
+    assert wrong == [(a, b) for a, b in pairs if (a + b * z1) % 8 != 4]
+    assert len(wrong) >= 75
