@@ -12,12 +12,7 @@ point of having two routes.
 
 from dataclasses import dataclass
 
-from wittcycle.group_algebra import (
-    contract_splus,
-    contraction_lead,
-    contraction_valuation,
-    scale_vector,
-)
+from wittcycle.group_algebra import contract_splus, contraction_lead, contraction_valuation
 from wittcycle.jacobi import jacobi_sum
 from wittcycle.padic import (
     valuation_and_unit,
@@ -26,9 +21,8 @@ from wittcycle.padic import (
     witt_neg,
     witt_one,
     witt_pow,
-    witt_reduce,
 )
-from wittcycle.principal_series import PSModule, exchange_constant, exchange_vectors
+from wittcycle.principal_series import exchange_coefficient
 from wittcycle.weights import (
     IRREDUCIBLE,
     delta,
@@ -136,30 +130,12 @@ class StepConstant:
     degenerate: bool
 
 
-def degenerate_step_check(chi, i_psi, c, params):
-    """Mod-p surrogate for the exchange identity at a degenerate step.
-
-    When the step target is the swapped character, the defining relation
-    collapses, but the composition S_{i_psi} S_0 phi still equals
-    (-1)^{e} c phi-part mod p with e the determinant exponent of the
-    source character; comparing against c S_0 phi mod p pins the constant.
-    """
-    work = params.residue
-    s0phi, u, _ = exchange_vectors(PSModule(chi, work), i_psi)
-    c1 = witt_reduce(c, params)
-    if chi.m2 % 2:
-        c1 = witt_neg(c1, work)
-    want = scale_vector(s0phi, c1, work)
-    if u != want:
-        raise ArithmeticError("degenerate-step surrogate identity failed mod p")
-
-
 def ctilde_product(cycle, rho, params):
     """Per-step constants along the cycle and the product of their leads.
 
-    Nondegenerate steps use the exchange constant and cross-check it
-    against the Jacobi sum J(i_psi, q-1-lambda(r)); degenerate steps take
-    the Jacobi route directly plus a mod-p operator check.  Every step's
+    Every step, degenerate or not, multiplies out its exchange coefficient
+    at the working N and cross-checks it against the Jacobi sum
+    J(i_psi, q-1-lambda(r)) at the precision it used.  Every step's
     valuation must equal f - |sym diff| and its leading digit must match
     the closed formula.
     """
@@ -172,17 +148,9 @@ def ctilde_product(cycle, rho, params):
         i_psi = q - 1 - cycle.iplus[t]
         lam_r = chi.a_exponent()
         b = q - 1 - lam_r
-        if cycle.degenerate[t]:
-            c = jacobi_sum(i_psi, b, "standard", params)
-            used = params
-            degenerate_step_check(chi, i_psi, c, params)
-        else:
-            c, _, used = exchange_constant(chi, i_psi, params)
-            ref = jacobi_sum(i_psi, b, "standard", used)
-            if c != ref:
-                raise ArithmeticError(
-                    "step %d: exchange constant differs from Jacobi sum" % t
-                )
+        c, used = exchange_coefficient(chi, i_psi, params)
+        if c != jacobi_sum(i_psi, b, "standard", used):
+            raise ArithmeticError("step %d: exchange constant differs from Jacobi sum" % t)
         v, lead = valuation_and_unit(c, used)
         if v != f - D:
             raise ArithmeticError(

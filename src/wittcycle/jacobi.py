@@ -39,6 +39,7 @@ from base-p digit counting, without summing anything; the two routes are
 checked against each other in the tests.
 """
 
+import math
 import sys
 from array import array
 from dataclasses import dataclass
@@ -199,7 +200,4 @@ def stickelberger_data(a, b, params):
 
 def factorial_mod_p(n, p):
     """n! mod p for digit-sized n; used by the leading-term formulas."""
-    out = 1
-    for k in range(2, n + 1):
-        out = (out * k) % p
-    return out
+    return math.factorial(n) % p

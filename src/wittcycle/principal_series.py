@@ -35,7 +35,7 @@ coordinates are gathered in one pass and multiplied in as one column
 product (padic.witt_mul_columns).  So S_i = w S+_i costs one
 convolution and O(q) work, touching only the O(q) field tables (inv, neg,
 dlog, exp) and the Teichmuller column.  exchange_vectors, the production
-route of exchange_constant and of the degenerate-step check, works there;
+route of exchange_coefficient at every step, works there;
 ps_act, the action of any group element or group-algebra element term by
 term through the q x q oracle tables, is the oracle it is checked against.
 
@@ -66,7 +66,8 @@ from wittcycle.padic import (
 
 
 class ExchangeError(ArithmeticError):
-    """The exchange identity is not available (degenerate target character)."""
+    """The exchange identity fails, or exchange_constant is asked for a
+    degenerate step (target character of multiplicity two)."""
 
 
 @dataclass(frozen=True)
@@ -280,38 +281,56 @@ def exchange_vectors(module, i_psi):
     return s0phi, u, s_operator(params.q - 1 - i_psi, params)
 
 
-def exchange_constant(psi_s, i_psi, params):
-    """The scalar c with S_{i_psi} S_0 phi = c S+_{q-1-i_psi} phi.
-
-    Works in the module induced from psi_s.  The target character
-    psi_s alpha^(-i_psi) must have multiplicity one there; the degenerate
-    case raises ExchangeError.  The constant is read off the coordinate at
-    u-(1), where S+_{q-1-i_psi} phi is 1, and proportionality is verified
-    exactly at the working precision over all q+1 coordinates.
-    Returns (c, i_plus, params_used).
-    """
-    q = params.q
-    if psi_s.qm1 != q - 1:
+def _exchange_args(psi_s, i_psi, params):
+    """i_psi as an int, once it and psi_s are checked against params."""
+    if psi_s.qm1 != params.q - 1:
         raise ValueError("character does not match the field size")
     i_psi = int(i_psi)
-    if not 0 < i_psi < q - 1:
+    if not 0 < i_psi < params.q - 1:
         raise ValueError("need 0 < i_psi < q-1")
-    # the targets for 0 < i_psi < q-1 are simple but for psi_s swapped,
-    # which h_component_characters counts twice
+    return i_psi
+
+
+def exchange_coefficient(psi_s, i_psi, params):
+    """The scalar c with S_{i_psi} S_0 phi = c S+_{q-1-i_psi} phi + d w phi.
+
+    Works in the module induced from psi_s, at every step, degenerate or
+    not.  The constant is read off the coordinate at u-(1), where
+    S+_{q-1-i_psi} phi is 1, and the U- part of S_{i_psi} S_0 phi must equal
+    c S+_{q-1-i_psi} phi exactly at the working precision.  The w phi
+    coordinate d must vanish unless the target psi_s alpha^(-i_psi) is psi_s
+    swapped, the character of w phi; its value is not checked.
+    Returns (c, params_used).
+    """
+    i_psi = _exchange_args(psi_s, i_psi, params)
+    return escalate(lambda work: _exchange_once(psi_s, i_psi, work), params, "exchange constant")
+
+
+def exchange_constant(psi_s, i_psi, params):
+    """exchange_coefficient at a step whose target has multiplicity one.
+
+    The targets for 0 < i_psi < q-1 are simple but for psi_s swapped, which
+    h_component_characters counts twice; that degenerate case raises
+    ExchangeError.  Returns (c, i_plus, params_used).
+    """
+    i_psi = _exchange_args(psi_s, i_psi, params)
     if psi_s.times_alpha(-i_psi) == psi_s.swap():
         raise ExchangeError("target character has multiplicity 2 in the induced module")
-    i_plus = q - 1 - i_psi
-    c, used = escalate(lambda work: _exchange_once(psi_s, i_psi, work), params, "exchange constant")
-    return c, i_plus, used
+    c, used = exchange_coefficient(psi_s, i_psi, params)
+    return c, params.q - 1 - i_psi, used
 
 
 def _exchange_once(psi_s, i_psi, params):
     _, u, w = exchange_vectors(PSModule(psi_s, params), i_psi)
     # w = S+_{i_plus} has the Teichmuller unit [mu]^i_plus at u-(mu), and 1 at
-    # u-(1), so c is u's coefficient there if u is proportional to w at all
-    c = u.get((1, 0, 1, 1), witt_zero(params))
-    if u != scale_vector(w, c, params):
+    # u-(1), so c is u's coefficient there if u's U- part is proportional to w
+    u_minus = dict(u)
+    at_w = u_minus.pop(GL2_W, None)
+    c = u_minus.get((1, 0, 1, 1), witt_zero(params))
+    if u_minus != scale_vector(w, c, params):
         raise ExchangeError("vectors are not proportional")
+    if at_w is not None and psi_s.times_alpha(-i_psi) != psi_s.swap():
+        raise ExchangeError("w phi coordinate at a nondegenerate step")
     if not any(c):
-        return None  # u vanished at this precision
+        return None  # the U- part vanished at this precision
     return c, params

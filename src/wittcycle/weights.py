@@ -182,7 +182,6 @@ def serre_weight_of(fw, rho):
 
 def weight_char(sigma, params):
     """The character of the upper unipotent fixed line of the weight."""
-    q = params.q
     s_total = sum(v * params.p**j for j, v in enumerate(sigma.s))
     return make_char(s_total + sigma.e, sigma.e, params)
 
@@ -227,7 +226,7 @@ class CycleData:
     subsets is the orbit in order, chars the weight characters, iplus the
     step exponent values (iplus[t] moves chars[t] to chars[t+1]), and
     degenerate flags the steps whose target character is the swap of the
-    source (those steps exist but their exchange identity collapses).
+    source (there S_{i_psi} S_0 phi also has a w phi coordinate).
     """
 
     subsets: tuple

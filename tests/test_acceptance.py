@@ -29,7 +29,6 @@ from wittcycle.cli import (
 from wittcycle.constants import (
     breuil_constant,
     ctilde_closed,
-    degenerate_step_check,
     step_lead_formula,
     theorem_form,
 )
@@ -53,6 +52,7 @@ from wittcycle.padic import (
 from wittcycle.principal_series import (
     ExchangeError,
     PSModule,
+    exchange_coefficient,
     exchange_constant,
     exponent_shift,
     h_component_characters,
@@ -265,12 +265,11 @@ def test_criterion_05_principal_series_layer():
                         if cyc.degenerate[t]:
                             with pytest.raises(ExchangeError):
                                 exchange_constant(chi, i_psi, params)
-                            c = jacobi_sum(i_psi, b, "standard", params)
-                            degenerate_step_check(chi, i_psi, c, params)
+                            c, used = exchange_coefficient(chi, i_psi, params)
                         else:
                             c, i_plus, used = exchange_constant(chi, i_psi, params)
                             assert i_plus == cyc.iplus[t]
-                            assert c == jacobi_sum(i_psi, b, "standard", used)
+                        assert c == jacobi_sum(i_psi, b, "standard", used)
 
 
 def test_criterion_06_weight_combinatorics():

@@ -1,11 +1,13 @@
 """Every name a module of the package or a test module imports is used there,
-and every top-level def or class of the package is read somewhere.
+every top-level def or class of the package is read somewhere, and every
+local a top-level function of the package assigns is read.
 
 Walks src/wittcycle/*.py and tests/*.py with ast: a name bound by an import
 statement must be read somewhere in the module, or be listed in its __all__;
 a function or class defined at the top of a package module must be read, by
 name or as an attribute, in the package or the tests, or be listed in an
-__all__.
+__all__; a name a top-level def of the package stores must be loaded
+somewhere in that def (nested functions included), unless it is _.
 """
 
 import ast
@@ -16,9 +18,8 @@ import pytest
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "wittcycle"
 # ids: a package module by its file name, a test module as tests/<name>
-MODULES = [pytest.param(p, id=p.name) for p in sorted(SRC.glob("*.py"))] + [
-    pytest.param(p, id="tests/" + p.name) for p in sorted(TESTS.glob("*.py"))
-]
+PACKAGE = [pytest.param(p, id=p.name) for p in sorted(SRC.glob("*.py"))]
+MODULES = PACKAGE + [pytest.param(p, id="tests/" + p.name) for p in sorted(TESTS.glob("*.py"))]
 
 
 def _imported(tree):
@@ -101,3 +102,32 @@ def test_checker_flags_dead_definitions():
         "b.py": "__all__ = ['Listed']\nimport a\na.used()\n",
     }
     assert dead_definitions(srcs) == [("a.py", 4, "dead")]
+
+
+def unused_locals(source):
+    """(line, function, name) of each name a top-level def stores but never
+    loads, other than _."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = [n for n in ast.walk(node) if isinstance(n, ast.Name)]
+            loaded = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+            out += [
+                (n.lineno, node.name, n.id)
+                for n in names
+                if isinstance(n.ctx, ast.Store) and n.id not in loaded and n.id != "_"
+            ]
+    return out
+
+
+@pytest.mark.parametrize("path", PACKAGE)
+def test_no_unused_locals(path):
+    assert unused_locals(path.read_text()) == []
+
+
+def test_checker_flags_unused_locals():
+    src = (
+        "def f(a):\n    q = a.q\n    b, _ = a\n    return [c for c in b]\n\n"
+        "def g():\n    n = 0\n    def h():\n        return n\n    return h\n"
+    )
+    assert unused_locals(src) == [(2, "f", "q")]

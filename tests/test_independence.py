@@ -28,11 +28,11 @@ CLOSED = {
     "s_product_closed",
 }
 NUMERIC = [
+    "exchange_coefficient",
     "_exchange_once",
     "exchange_vectors",
     "_w_map",
     "_s_plus",
-    "degenerate_step_check",
     "_contract_once",
 ]
 

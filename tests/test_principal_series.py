@@ -3,6 +3,7 @@ import random
 import pytest
 
 from wittcycle import _tables, principal_series
+from wittcycle.constants import breuil_constant
 from wittcycle.group_algebra import GL2_W, gl2_inv, gl2_mul, s_operator, scale_vector
 from wittcycle.jacobi import jacobi_sum
 from wittcycle.padic import (
@@ -10,6 +11,7 @@ from wittcycle.padic import (
     PrecisionError,
     valuation_and_unit,
     witt_add,
+    witt_from_int,
     witt_mul,
     witt_neg,
     witt_one,
@@ -19,6 +21,7 @@ from wittcycle.principal_series import (
     _w_map,
     PSModule,
     eigen_check,
+    exchange_coefficient,
     exchange_constant,
     exchange_vectors,
     exponent_shift,
@@ -28,12 +31,14 @@ from wittcycle.principal_series import (
     phi_vector,
     ps_act,
 )
+from wittcycle.weights import cycles_of, make_rho
 
 from test_group_algebra import random_gl2, s_by_oracle
 
 P7 = Params.make(7, 1)
 P7F2 = Params.make(7, 2)
 P11F2 = Params.make(11, 2)
+P7F3 = Params.make(7, 3)
 
 
 def test_dimension_and_multiplicities():
@@ -316,6 +321,53 @@ def test_exchange_proportionality_check_bites(monkeypatch):
     )
     with pytest.raises(PrecisionError):
         exchange_constant(psi_s, 5, P7F2)
+
+
+@pytest.mark.parametrize(
+    "kind, r, alpha_prime, params",
+    [("red", (2, 2), 1, P7F2), ("irr", (2, 2, 2), -1, P7F3)],
+    ids=["q49", "q343"],
+)
+def test_exchange_check_bites_at_a_degenerate_step(monkeypatch, kind, r, alpha_prime, params):
+    # p added to a U- coordinate of u away from u-(1) vanishes mod p, so only
+    # a check at the working N sees it; the w phi coordinate is left alone
+    rho = make_rho(kind, r, 1, params, alpha_prime=alpha_prime)
+    cycle = next(c for c in cycles_of(rho) if any(c.degenerate))
+    t = cycle.degenerate.index(True)
+    chi, i_psi = cycle.chars[t], params.q - 1 - cycle.iplus[t]
+    c, used = exchange_coefficient(chi, i_psi, params)
+    assert c == jacobi_sum(i_psi, params.q - 1 - chi.a_exponent(), "standard", used)
+    vectors = principal_series.exchange_vectors
+
+    def off_by_p(module, i):
+        s0phi, u, w = vectors(module, i)
+        if module.chi.times_alpha(-i) == module.chi.swap():
+            assert GL2_W in u
+            g = next(g for g in u if g not in (GL2_W, (1, 0, 1, 1)))
+            u = dict(u)
+            u[g] = witt_add(u[g], witt_from_int(module.params.p, module.params), module.params)
+        return s0phi, u, w
+
+    monkeypatch.setattr(principal_series, "exchange_vectors", off_by_p)
+    with pytest.raises(ExchangeError, match="not proportional"):
+        exchange_coefficient(chi, i_psi, params)
+    with pytest.raises(ExchangeError, match="not proportional"):
+        breuil_constant(cycle, rho, "stepwise", params)
+
+
+def test_exchange_refuses_w_phi_at_a_nondegenerate_step(monkeypatch):
+    psi_s = make_char(10, 2, P7F2)
+    vectors = principal_series.exchange_vectors
+
+    def with_w_phi(module, i_psi):
+        s0phi, u, w = vectors(module, i_psi)
+        assert GL2_W not in u
+        return s0phi, {**u, GL2_W: witt_one(module.params)}, w
+
+    monkeypatch.setattr(principal_series, "exchange_vectors", with_w_phi)
+    for exchange in (exchange_coefficient, exchange_constant):
+        with pytest.raises(ExchangeError, match="w phi"):
+            exchange(psi_s, 5, P7F2)
 
 
 # ------------------------------------------------ the packed ps_act oracle
