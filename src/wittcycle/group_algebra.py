@@ -21,12 +21,15 @@ t-degree), each slot wide enough in decimal digits for the bound
 q f (p^N-1)^2 on a product coefficient, so no slot carries into the next.
 The integer is a decimal.Decimal, so the one big multiply runs on
 libmpdec's number-theoretic transform, in a context that raises on any
-rounding.  The product's text is cut into slots by struct and int one
-block of the outermost field digit at a time, so at most two blocks are
-parsed at once.  Field digits are folded mod p by adding whole slices of
-slots, outermost digit first, and the t-degree columns of all q codes are
-reduced by the modulus and mod p^N a column at a time
-(padic.witt_fold_columns): no Python loop runs per slot.  This still
+rounding.  Field digits are folded mod p on the product itself, in the
+same context, outermost digit first: the blocks of digits z and z+p are
+added by one decimal shift and one add, then the p sums are cut apart and
+their inner digits folded in turn.  Each partial sum is part of a fully
+folded slot, below the bound the width is sized for, so no slot carries
+here either.  Only the q (2f-1) folded slots are formatted and cut apart
+by one struct call, and the t-degree columns of all q codes are reduced
+by the modulus and mod p^N a column at a time (padic.witt_fold_columns):
+no Python loop runs per slot.  This still
 multiplies out term by term, only all terms at once; ga_multiply, the
 generic GL2 product, stays as the oracle the kernel is checked against.
 scale_vector multiplies a vector by a scalar column by column too, in one
@@ -46,9 +49,8 @@ slots of bit_length(min(|x|, |y|) f (p^N-1)^2) bits never carry.
 import decimal
 import struct
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain, repeat
-from operator import add
 
 from wittcycle import _tables
 from wittcycle.jacobi import factorial_mod_p, jacobi_sum
@@ -160,17 +162,18 @@ def _cells(p, f):
     ]
 
 
-def _parse_block(text, parser, z):
-    """The ints in the z-th block of parser.size characters from the end of
-    text, lowest slot first."""
-    return list(map(int, parser.unpack_from(text, len(text) - (z + 1) * parser.size)))[::-1]
+# the multiply and the fold run on integral Decimals and must stay exact: a
+# rounded product would be wrong in every slot
+_EXACT = decimal.Context(
+    decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.Overflow, decimal.InvalidOperation],
+)
 
 
 def _exact_multiply(a, b):
-    """a * b for integral Decimals, raising on rounding of any kind: a
-    rounded product would be wrong in every slot."""
-    traps = [decimal.Inexact, decimal.Rounded, decimal.Overflow, decimal.InvalidOperation]
-    return decimal.Context(decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=traps).multiply(a, b)
+    """a * b for integral Decimals, raising on rounding of any kind."""
+    return _EXACT.multiply(a, b)
 
 
 def _pack(x, cells, width, params):
@@ -186,20 +189,23 @@ def _pack(x, cells, width, params):
     return decimal.Decimal("".join(out))
 
 
-def _fold_digits(block, d, p):
-    """Slots k + T*(z_0 + W*z_1 + ... + W^(d-1)*z_(d-1)), W = 2p-1, summed
-    into k + T*(z_0 + p*z_1 + ...) by digits mod p.  block(z) lists, lowest
-    first, the slots with outermost digit z; blocks z and z+p are added
-    whole, then the inner digits of the sum are folded in turn."""
-    out = []
-    for z in range(p):
-        part = block(z)
-        if z < p - 1:
-            part = list(map(add, part, block(z + p)))
-        if d > 1:
-            n = len(part) // (2 * p - 1)
-            part = _fold_digits(lambda y, part=part, n=n: part[y * n : y * n + n], d - 1, p)
-        out += part
+def _fold_blocks(x, d, n, p):
+    """x read as (2p-1)^d blocks of n decimal digits, block z_0 + W*z_1 +
+    ... + W^(d-1)*z_(d-1) from the low end, W = 2p-1, summed into p^d
+    blocks z_0 + p*z_1 + ... by digits mod p.  Blocks z and z+p of the
+    outermost digit are added by one shift and add, then the p sums are cut
+    off from the top and their inner digits folded in turn."""
+    shift, add, sub = _EXACT.shift, _EXACT.add, _EXACT.subtract
+    b = n * (2 * p - 1) ** (d - 1)
+    high = shift(x, -p * b)
+    x = add(sub(x, shift(high, p * b)), high)
+    if d == 1:
+        return x
+    out = decimal.Decimal(0)
+    for z in reversed(range(p)):
+        top = shift(x, -z * b)
+        x = sub(x, shift(top, z * b))
+        out = add(shift(out, n * p ** (d - 1)), _fold_blocks(top, d - 1, n, p))
     return out
 
 
@@ -215,24 +221,20 @@ def u_convolve(x, y, params):
         raise ValueError("operands must lie on U-")
     if not x or not y:
         return {}
-    p, f, W = params.p, params.f, 2 * params.p - 1
+    p, f, q, T = params.p, params.f, params.q, 2 * params.f - 1
     cells = _cells(p, f)
     # a product slot sums at most q*f products of two coefficients < p^N
-    width = len(str(params.q * f * (params.pN - 1) ** 2))
-    # the product's digits, top slot first; no name holds the product, so
-    # it is freed as soon as its text exists
-    text = format(
+    width = len(str(q * f * (params.pN - 1) ** 2))
+    # no name holds the product, so it is freed as its digits are folded;
+    # slot k + T*code of the folded number is the coefficient of t^k at code
+    folded = _fold_blocks(
         _exact_multiply(_pack(x, cells, width, params), _pack(y, cells, width, params)),
-        "f",
-    ).encode()
-    # 2p-1 blocks of n slots, one per outermost field digit, each parsed
-    # only when it is folded
-    n = (2 * f - 1) * W ** (f - 1)
-    text = text.zfill(W * n * width)
-    parser = struct.Struct("%ds" % width * n)
-    acc = _fold_digits(partial(_parse_block, text, parser), f, p)
-    # acc[k + T*code] is the coefficient of t^k at code, T = 2f-1
-    T = 2 * f - 1
+        f,
+        T * width,
+        p,
+    )
+    text = format(folded, "f").encode().zfill(q * T * width)
+    acc = list(map(int, struct.unpack("%ds" % width * (q * T), text)))[::-1]
     out = {}
     for code, w in enumerate(witt_fold_columns([acc[k::T] for k in range(T)], params)):
         if any(w):

@@ -332,19 +332,3 @@ def valuation_and_unit(x, params):
     lead = tuple((c // p ** v) % p for c in x)
     return v, lead
 
-
-def witt_inv(x, params):
-    """Inverse of a unit, by lifting the residue inverse with Newton steps."""
-    v, lead = valuation_and_unit(x, params)
-    if v is PRECISION_INF or v > 0:
-        raise ZeroDivisionError("not a unit in W(F_q)/p^N")
-    y = witt_pow(lead, params.q - 2, params.residue)
-    # Newton: y -> y(2 - xy) doubles correct digits each step.
-    steps = max(1, math.ceil(math.log2(params.N))) + 1
-    two = witt_from_int(2, params)
-    for _ in range(steps):
-        y = witt_mul(y, witt_sub(two, witt_mul(x, y, params), params), params)
-    if witt_mul(x, y, params) != witt_one(params):
-        raise ArithmeticError("unit inversion failed")
-    return y
-

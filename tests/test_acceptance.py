@@ -45,7 +45,6 @@ from wittcycle.jacobi import jacobi_sum
 from wittcycle.padic import (
     Params,
     witt_from_int,
-    witt_inv,
     witt_mul,
     witt_neg,
 )
@@ -78,6 +77,7 @@ from wittcycle.weights import (
 )
 
 from test_group_algebra import ga_act_matrix, s_by_oracle
+from test_padic import witt_inv
 from test_weights import negative_set, transition_weight
 
 

@@ -342,9 +342,11 @@ def test_u_convolve_short_products(q, coset):
     assert _kernel_product(coset, x, {_key("1", 0): a}, params) == {}
 
 
-# tracemalloc peak of one u_convolve of the dense operands below under the
-# slot-by-slot unpack this kernel replaced.  Both peak while the product is
-# formatted as text; the blocks parsed after that must stay below it.
+# tracemalloc peak of one u_convolve of the dense operands below under an
+# earlier slot-by-slot unpack, which peaked while the whole product was
+# formatted as text.  The kernel now peaks inside libmpdec's multiply (about
+# 641 000 B); the field-digit fold and the parse of the q (2f-1) folded
+# slots after it must stay below this bound.
 _U_CONVOLVE_PEAK_343 = 680791
 
 
@@ -360,6 +362,20 @@ def test_u_convolve_peak_memory_q343():
     finally:
         tracemalloc.stop()
     assert peak <= _U_CONVOLVE_PEAK_343
+
+
+def test_u_convolve_matches_closed_form_q2401():
+    # f = 4 folds four field digits deep, past every field of _KERNEL_FIELDS;
+    # the oracle is too slow here, so the closed form of S+_i S+_j stands in
+    params = Params.make(7, 4, N=20)
+    q = params.q
+    rng = random.Random(2401)
+    pairs = [(rng.randrange(1, q - 1), rng.randrange(1, q - 1)) for _ in range(2)]
+    i = rng.randrange(1, q - 1)
+    pairs.append((i, q - 1 - i))  # i + j = 0 mod q-1: S+_0 and q at the identity
+    for i, j in pairs:
+        got = u_convolve(s_operator(i, params), s_operator(j, params), params)
+        assert got == s_product_closed(i, j, params), (i, j)
 
 
 def test_u_convolve_empty_operands():

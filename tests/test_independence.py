@@ -53,10 +53,9 @@ KERNEL = {
     "u_convolve",
     "_pack",
     "_cells",
-    "_fold_digits",
+    "_fold_blocks",
     "witt_fold_columns",
     "witt_mul_columns",
-    "_parse_block",
     "_exact_multiply",
     "exchange_vectors",
     "_w_map",
