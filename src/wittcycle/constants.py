@@ -28,7 +28,6 @@ from wittcycle.weights import (
     delta,
     formal_weight_of,
     fw_apply,
-    normalize_kind,
 )
 
 
@@ -54,13 +53,12 @@ def up_product(cycle, rho):
     [alpha]^{k|J0^c|/f} [alpha']^{k|J0|/f} in the split reducible case and
     [-alpha]^{k/2} in the irreducible case.
     """
-    kind = normalize_kind(rho.kind)
     k, D = cycle.k, cycle.sym_diff_size
     f = rho.params.f
     if (k * D) % 2:
         raise ArithmeticError("odd k*D: not a valid cycle")
     p_power = k * D // 2
-    if kind == IRREDUCIBLE:
+    if rho.kind == IRREDUCIBLE:
         if k % 2:
             raise ArithmeticError("irreducible cycle length must be even")
         alpha_exp, alpha_prime_exp = k // 2, 0
@@ -75,18 +73,11 @@ def up_product(cycle, rho):
     return UpMonomial(sign, p_power, alpha_exp, alpha_prime_exp)
 
 
-def _chain(cycle):
-    """The cycle's step exponents in reversed orientation (entry t is step
-    k-1-t); the contraction does not depend on the order since the
-    operators commute."""
-    k = cycle.k
-    return tuple(cycle.iplus[(k - 1 - t) % k] for t in range(1, k + 1))
-
-
 def beta_by_bruteforce(cycle, params):
-    """Contract the cycle's step-exponent chain; breuil_constant's ledger
-    audits the valuation."""
-    return contract_splus(_chain(cycle), params)
+    """Contract the cycle's step exponents in walk order, every proper
+    prefix nonzero mod q-1 (cycle_from); breuil_constant's ledger audits
+    the valuation."""
+    return contract_splus(cycle.iplus, params)
 
 
 def step_lead_formula(J, rho):
@@ -170,7 +161,7 @@ def ctilde_product(cycle, rho, params):
 
 def ctilde_closed(cycle):
     """The cycle-product sign: 1 irreducible, (-1)^{k(f-1)+kf} reducible."""
-    if normalize_kind(cycle.kind) == IRREDUCIBLE:
+    if cycle.kind == IRREDUCIBLE:
         return 1
     return -1 if cycle.k % 2 else 1
 
@@ -213,9 +204,8 @@ def breuil_constant(cycle, rho, mode, params, cache=None):
     if up.sign != sign_kd:
         alpha_factor = witt_neg(alpha_factor, fq)
 
-    indices = _chain(cycle)
-    v_formula = contraction_valuation(indices, params)
-    lead_beta_closed = contraction_lead(indices, params)
+    v_formula = contraction_valuation(cycle.iplus, params)
+    lead_beta_closed = contraction_lead(cycle.iplus, params)
     ct_closed = ctilde_closed(cycle)
 
     epsilon = ct_closed * sign_kd * lead_beta_closed % p
@@ -292,14 +282,13 @@ def theorem_form(report, rho, params):
     alpha' the inverse of alpha: epsilon * alpha^{(|J^c|-|J|)k/f}.  None
     when rho is outside that hypothesis.
     """
-    kind = normalize_kind(rho.kind)
     cycle = report.cycle
     k, f, fq = cycle.k, params.f, params.residue
-    unit = rho.alpha if kind == IRREDUCIBLE else witt_mul(rho.alpha, rho.alpha_prime, fq)
+    unit = rho.alpha if rho.kind == IRREDUCIBLE else witt_mul(rho.alpha, rho.alpha_prime, fq)
     if unit != witt_one(fq):
         return None
     eps = witt_from_int(report.pieces["epsilon_sign"], fq)
-    if kind == IRREDUCIBLE:
+    if rho.kind == IRREDUCIBLE:
         sign = witt_from_int(1 if (k // 2) % 2 == 0 else -1, fq)
         return witt_mul(eps, sign, fq)
     size = len(cycle.subsets[0])

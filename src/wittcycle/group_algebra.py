@@ -171,11 +171,6 @@ _EXACT = decimal.Context(
 )
 
 
-def _exact_multiply(a, b):
-    """a * b for integral Decimals, raising on rounding of any kind."""
-    return _EXACT.multiply(a, b)
-
-
 def _pack(x, cells, width, params):
     """One Decimal whose base-10^width digits are x's coefficients: cell
     cells[lam] holds 2f-1 slots, the coefficient of t^k in slot k."""
@@ -228,7 +223,7 @@ def u_convolve(x, y, params):
     # no name holds the product, so it is freed as its digits are folded;
     # slot k + T*code of the folded number is the coefficient of t^k at code
     folded = _fold_blocks(
-        _exact_multiply(_pack(x, cells, width, params), _pack(y, cells, width, params)),
+        _EXACT.multiply(_pack(x, cells, width, params), _pack(y, cells, width, params)),
         f,
         T * width,
         p,

@@ -50,6 +50,7 @@ one term sums at most f^2 products below (p^N-1)^3; slots of
 bit_length(|x| f^2 (p^N-1)^3) bits never carry.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 from wittcycle import _tables
@@ -183,10 +184,7 @@ def h_component_characters(module):
     Labels 0 and 1 (the two Borel-fixed lines) carry chi and chi swapped;
     the unit-indexed combinations carry chi swapped times alpha^(-j).
     """
-    out = {}
-    for xi in _torus_characters(module):
-        out[xi] = out.get(xi, 0) + 1
-    return out
+    return Counter(_torus_characters(module))
 
 
 def h_components(module):

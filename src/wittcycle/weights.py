@@ -89,10 +89,6 @@ def subsets_of(f):
     return [frozenset(j for j in range(f) if mask >> j & 1) for mask in range(1 << f)]
 
 
-def subset_mask(J, f):
-    return sum(1 << j for j in J)
-
-
 def delta(J, kind, f):
     """The shift: j lands in delta(J) iff j+1 is in J, except that the
     irreducible flavor tests 0 NOT in J at the seam j = f-1."""
@@ -133,11 +129,10 @@ _IRR_SEAM = {
 def formal_weight_of(J, rho):
     """The affine weight datum attached to a subset."""
     p, f = rho.params.p, rho.params.f
-    kind = normalize_kind(rho.kind)
     out = []
     for j in range(f):
         pat = (1 if (j - 1) % f in J else 0, 1 if j in J else 0)
-        if kind == IRREDUCIBLE and j == 0:
+        if rho.kind == IRREDUCIBLE and j == 0:
             eps, c = _IRR_SEAM[pat]
         else:
             eps, c = _INNER[pat]
@@ -304,7 +299,9 @@ def cycle_from(rho, start):
 
 
 def survey_orbits(rho):
-    """All delta orbits: the valid cycles and the excluded ones with reasons."""
+    """All delta orbits: the valid cycles and the excluded ones with reasons,
+    each walked from its least-mask subset (subsets_of runs in mask order,
+    and a whole orbit is marked seen at its first member)."""
     f = rho.params.f
     seen = set()
     cycles = []
@@ -314,9 +311,8 @@ def survey_orbits(rho):
             continue
         orbit = _orbit(J, rho.kind, f)
         seen.update(orbit)
-        anchor = min(orbit, key=lambda s: subset_mask(s, f))
         try:
-            cycles.append(cycle_from(rho, anchor))
+            cycles.append(cycle_from(rho, J))
         except OrbitExcluded as exc:
             excluded.append({"orbit": tuple(orbit), "reason": str(exc)})
     return cycles, excluded
@@ -356,7 +352,7 @@ def sigma_J_table(J, rho):
     dJ = delta(J, REDUCIBLE, f)
     fw = formal_weight_of(dJ, rho)
     sigma = serre_weight_of(fw, rho)
-    if normalize_kind(rho.kind) == REDUCIBLE:
+    if rho.kind == REDUCIBLE:
         s = []
         e = 0
         for j in range(f):
@@ -389,7 +385,8 @@ def jh_intersect(V, rho):
     """Subsets indexing the common constituents cut out by a type.
 
     The admissible pairs exclude (s, id) at every place; the answer is the
-    interval J1 <= J <= complement of J2 in the subset lattice.
+    interval J1 <= J <= complement of J2 in the subset lattice, in mask
+    order (free is sorted and disjoint from J1).
     """
     f = rho.params.f
     if len(V.w) != f:
@@ -412,4 +409,4 @@ def jh_intersect(V, rho):
     for mask in range(1 << len(free)):
         extra = {free[i] for i in range(len(free)) if mask >> i & 1}
         out.append(frozenset(j1) | extra)
-    return sorted(out, key=lambda s: subset_mask(s, f))
+    return out

@@ -105,6 +105,25 @@ def test_cycles_lists_excluded_orbits(capsys):
     assert [it["outputs"]["k"] for it in cycles] == [2]
 
 
+def test_route_error_is_a_failing_routes_agree_check(monkeypatch, capsys):
+    # a disagreement raised by breuil_constant stays on its cycle's item,
+    # with the cycle's outputs, instead of aborting the whole report
+    def disagree(cyc, rho, mode, params):
+        raise ArithmeticError("route disagreement for cycle %s" % (cyc.subsets,))
+
+    monkeypatch.setattr(cli, "breuil_constant", disagree)
+    code, rep = _json_report(
+        capsys, ["constant", "--p", "7", "--f", "2", "--kind", "irr", "--r", "2", "--json"]
+    )
+    assert code == 1
+    [item] = rep["items"]
+    assert item["provenance"] == "two-route assembly"
+    assert item["outputs"]["k"] == 4
+    [check] = item["checks"]
+    assert check["name"] == "routes agree" and not check["pass"]
+    assert check["got"].startswith("route disagreement")
+
+
 def test_contract_command(capsys):
     code, rep = _json_report(
         capsys, ["contract", "--p", "7", "--f", "1", "--indices", "4,2", "--json"]
@@ -277,7 +296,7 @@ def test_unresolved_valuation_is_a_failing_check(capsys, argv):
     assert rep["summary"]["fail"] > 0
 
 
-# sha256 of 13 --json reports, 11 quick and two at the full level, pinned so
+# sha256 of 17 --json reports, 15 quick and two at the full level, pinned so
 # that a change meant to keep the output byte for byte is checked on every
 # test run
 _REPORT_DIGESTS = [
@@ -311,6 +330,17 @@ _REPORT_DIGESTS = [
     # the benchmark's selftest-full round at q = 121: 300 sampled relations
     ("selftest --p 11 --f 2 --level full --seed 1",
      "2960b676e3c78ace9025d673a46709636c7859fd4acc61f016b33d8c10244ad7"),
+    # the verbs that report cycles, weights and one Jacobi sum; the cycles
+    # report lists the two excluded orbits, the jh-intersect one a 4-subset
+    # interval
+    ("cycles --p 7 --f 4 --kind red --r 2 --alpha-prime 1",
+     "0bd136d531c936058dbcfae489926ba08f23d04483319b41a395670c764a6e7c"),
+    ("jh-intersect --p 7 --f 4 --kind irr --r 2 --w id,s,id,s --w-prime s,s,id,s",
+     "f06fca4e56cb3d3a76eef7d016c51a2b2225ebb0fb1e58c0a292b79ccaec8cbb"),
+    ("weights --p 7 --f 3 --kind red --r 2 --alpha-prime 1",
+     "2dafb04587d32ecbcbfac61d4b5f70575a9f3d12ca831fb04a354b389c55d39f"),
+    ("jacobi --p 7 --f 2 --a 5 --b 11",
+     "332edd5db2a1270f0c24297a5bf18d242bd3f8e7a3307ce9ca5cdb9a6f869148"),
 ]
 
 

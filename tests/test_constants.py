@@ -6,7 +6,7 @@ import pytest
 from wittcycle import _tables, constants, principal_series
 from wittcycle.cli import main
 from wittcycle.group_algebra import contraction_lead
-from wittcycle.padic import Params, witt_from_int, witt_mul
+from wittcycle.padic import Params, witt_add, witt_from_int, witt_mul, witt_one
 from wittcycle.constants import (
     UpMonomial,
     beta_by_bruteforce,
@@ -225,9 +225,7 @@ def test_beta_bruteforce_matches_digit_formulas():
     cyc = _only_cycle(RHO_IRR_F2)
     res = beta_by_bruteforce(cyc, P7F2)
     assert res.v_beta == cyc.k * cyc.sym_diff_size // 2 == 2
-    k = cyc.k
-    indices = tuple(cyc.iplus[(k - 1 - t) % k] for t in range(1, k + 1))
-    assert res.lead_beta == witt_from_int(contraction_lead(indices, P7F2), P7F2.residue)
+    assert res.lead_beta == witt_from_int(contraction_lead(cyc.iplus, P7F2), P7F2.residue)
 
 
 def test_step_leads_match_formula_f2():
@@ -237,6 +235,38 @@ def test_step_leads_match_formula_f2():
         want = witt_from_int(step_lead_formula(cyc.subsets[t], RHO_IRR_F2), P7F2.residue)
         assert st.lead == want
         assert st.valuation == P7F2.f - cyc.sym_diff_size
+
+
+def _off_by_one_jacobi(real):
+    return lambda a, b, conv, params: witt_add(real(a, b, conv, params), witt_one(params), params)
+
+
+def _off_by_one_valuation(real):
+    def mutant(c, params):
+        v, lead = real(c, params)
+        return v + 1, lead
+
+    return mutant
+
+
+def _off_by_one_lead(real):
+    return lambda J, rho: (real(J, rho) + 1) % rho.params.p
+
+
+@pytest.mark.parametrize(
+    "name, mutant, message",
+    [
+        ("jacobi_sum", _off_by_one_jacobi, "exchange constant differs from Jacobi sum"),
+        ("valuation_and_unit", _off_by_one_valuation, r"expected f - \|sym diff\|"),
+        ("step_lead_formula", _off_by_one_lead, "differs from formula"),
+    ],
+)
+def test_ctilde_product_step_checks_fire(monkeypatch, name, mutant, message):
+    # each step cross-check of the exchange route raises, naming step 0
+    cyc = _only_cycle(RHO_IRR_F2)
+    monkeypatch.setattr(constants, name, mutant(getattr(constants, name)))
+    with pytest.raises(ArithmeticError, match="^step 0: .*" + message):
+        ctilde_product(cyc, RHO_IRR_F2, P7F2)
 
 
 def test_p11_round_trip():

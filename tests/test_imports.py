@@ -1,13 +1,16 @@
 """Every name a module of the package or a test module imports is used there,
 every top-level def or class of the package is read somewhere, and every
-local a top-level function of the package assigns is read.
+local a top-level function of the package assigns, and every parameter it
+takes, is read.
 
 Walks src/wittcycle/*.py and tests/*.py with ast: a name bound by an import
 statement must be read somewhere in the module, or be listed in its __all__;
 a function or class defined at the top of a package module must be read, by
 name or as an attribute, in the package or the tests, or be listed in an
 __all__; a name a top-level def of the package stores must be loaded
-somewhere in that def (nested functions included), unless it is _.
+somewhere in that def (nested functions included), unless it is _; so
+must each of its parameters, except in the _cmd_* handlers of the CLI,
+which run calls uniformly as (ns, params).
 """
 
 import ast
@@ -131,3 +134,37 @@ def test_checker_flags_unused_locals():
         "def g():\n    n = 0\n    def h():\n        return n\n    return h\n"
     )
     assert unused_locals(src) == [(2, "f", "q")]
+
+
+def unused_parameters(source):
+    """(line, function, name) of each parameter of a top-level def that its
+    body never loads, other than _ and those of the _cmd_* handlers."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name.startswith("_cmd_"):
+                continue
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [x for x in (a.vararg, a.kwarg) if x]
+            loaded = {
+                n.id
+                for stmt in node.body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            out += [(x.lineno, node.name, x.arg) for x in params if x.arg not in loaded | {"_"}]
+    return out
+
+
+@pytest.mark.parametrize("path", PACKAGE)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text()) == []
+
+
+def test_checker_flags_unused_parameters():
+    src = (
+        "def f(a, b, *args, c=1, **kw):\n    return a + c + len(kw)\n\n"
+        "def g(_, x):\n    def h(y):\n        return x\n    return h\n\n"
+        "def _cmd_v(ns, params):\n    return None, []\n"
+    )
+    assert unused_parameters(src) == [(1, "f", "b"), (1, "f", "args")]

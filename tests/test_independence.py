@@ -56,7 +56,6 @@ KERNEL = {
     "_fold_blocks",
     "witt_fold_columns",
     "witt_mul_columns",
-    "_exact_multiply",
     "exchange_vectors",
     "_w_map",
     "_s_plus",

@@ -60,6 +60,17 @@ def test_phi_is_unipotent_fixed_eigenvector():
         assert ps_act(module, (1, x, 0, 1), phi) == phi
 
 
+def test_eigen_check_rejects_non_eigenvectors():
+    chi = make_char(3, 1, P7)
+    module = PSModule(chi, P7)
+    phi = phi_vector(module)
+    # phi with the wrong character, and phi + w phi, whose lines carry chi
+    # and chi swapped
+    assert not eigen_check(module, phi, chi.swap())
+    assert not eigen_check(module, {0: witt_one(P7), 1: witt_one(P7)}, chi)
+    assert not eigen_check(module, {0: witt_one(P7), 1: witt_one(P7)}, chi.swap())
+
+
 def test_all_declared_components_are_eigenvectors():
     # and they are phi, w phi and the vectors lam -> [lam]^j, built for the
     # reference with pow_code, independently of the dlog lookup
