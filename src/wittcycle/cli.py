@@ -46,6 +46,7 @@ from wittcycle.padic import (
 from wittcycle.principal_series import (
     PSModule,
     eigen_check,
+    exponent_shift,
     h_component_characters,
     h_components,
     ps_act,
@@ -53,15 +54,14 @@ from wittcycle.principal_series import (
 from wittcycle.weights import (
     DLType,
     IRREDUCIBLE,
+    KIND_ALIASES,
     REDUCIBLE,
     char_of_subset,
     complement,
     cycle_from,
     cycles_of,
     delta,
-    digits_value,
     formal_weight_of,
-    iplus_of_step,
     jh_intersect,
     make_rho,
     serre_weight_of,
@@ -192,11 +192,12 @@ def _jacobi_checks(a, b, convention, value, params):
     ]
     if 0 < a < q - 1 and 0 < b < q - 1 and a + b != q - 1 and (a + b) % (q - 1):
         # the two conventions differ only when a or b is 0, so value is J0 here
-        data = stickelberger_data(a, b, params)
+        u, unit = stickelberger_data(a, b, params)
         v, lead = valuation_and_unit(value, params)
-        checks.append(_check("valuation equals digit-carry count", data.u, v))
-        unit = witt_from_int(data.unit, params.residue)
-        checks.append(_check("leading digit equals factorial unit", unit, lead))
+        checks.append(_check("valuation equals digit-carry count", u, v))
+        checks.append(
+            _check("leading digit equals factorial unit", witt_from_int(unit, params.residue), lead)
+        )
     if 0 < a < q - 1 and a + b == q - 1 and convention == "standard":
         checks.append(_check("complementary pair value", _complementary_value(a, params), value))
     return checks
@@ -251,7 +252,7 @@ def _scan_chunk(args):
     params, pairs = args
     items = []
     for a, b in pairs:
-        data = stickelberger_data(a, b, params)
+        u, unit = stickelberger_data(a, b, params)
         v, lead = valuation_and_unit(jacobi_sum(a, b, "J0", params), params)
         items.append(
             _item(
@@ -259,8 +260,8 @@ def _scan_chunk(args):
                 {"valuation": v, "lead": lead},
                 "digit-carry count and factorial unit",
                 [
-                    _check("valuation", data.u, v),
-                    _check("lead", witt_from_int(data.unit, params.residue), lead),
+                    _check("valuation", u, v),
+                    _check("lead", witt_from_int(unit, params.residue), lead),
                 ],
             )
         )
@@ -395,9 +396,9 @@ def _cmd_cycles(ns, params):
     cycles, excluded = survey_orbits(rho)
     items = []
     for cyc in cycles:
-        digits_ok = (
-            (None, digits_value(iplus_of_step(J, rho), params.p) == iplus)
-            for J, iplus in zip(cyc.subsets, cyc.iplus)
+        shifts_ok = (
+            (None, exponent_shift(chi, nxt) == iplus)
+            for chi, nxt, iplus in zip(cyc.chars, cyc.chars[1:] + cyc.chars[:1], cyc.iplus)
         )
         items.append(
             _item(
@@ -406,7 +407,7 @@ def _cmd_cycles(ns, params):
                 "delta orbit walk",
                 [
                     _check("step exponents close up", 0, sum(cyc.iplus) % (params.q - 1)),
-                    _tally("digit formula matches character shift", digits_ok),
+                    _tally("digit formula matches character shift", shifts_ok),
                 ],
             )
         )
@@ -764,7 +765,7 @@ def build_parser():
     rho.add_argument(
         "--kind",
         required=True,
-        choices=["irr", "red", "irreducible", "reducible", "reducible-split"],
+        choices=list(KIND_ALIASES),
     )
     rho.add_argument(
         "--r", type=_int_list, required=True, help="comma list (single value repeats)"

@@ -178,16 +178,14 @@ class ConstantReport:
     steps: tuple = None
 
 
-def breuil_constant(cycle, rho, mode, params, cache=None):
+def breuil_constant(cycle, rho, mode, params):
     """The cycle's diagram constant, by formulas, or by both routes.
 
     mode 'closed' assembles g purely from the closed formulas and leaves
     g_stepwise unset.  mode 'stepwise' additionally multiplies the
     constant out numerically and insists the two agree.  Both modes build
     the ledger, the pieces and the checks on them the same way, from their
-    own values.  cache, if given, is a dict reused across calls to share
-    the alpha-independent numeric pieces of a cycle (the contraction and
-    the step constants).
+    own values.
     """
     if mode not in ("stepwise", "closed"):
         raise ValueError("mode must be stepwise or closed")
@@ -220,14 +218,8 @@ def breuil_constant(cycle, rho, mode, params, cache=None):
         per_step = ()
         step_valuations = [f - D] * k
     else:
-        key = (cycle.subsets, cycle.iplus)
-        if cache is not None and key in cache:
-            beta, ct_lead, per_step = cache[key]
-        else:
-            beta = beta_by_bruteforce(cycle, params)
-            ct_lead, per_step = ctilde_product(cycle, rho, params)
-            if cache is not None:
-                cache[key] = (beta, ct_lead, per_step)
+        beta = beta_by_bruteforce(cycle, params)
+        ct_lead, per_step = ctilde_product(cycle, rho, params)
         v_beta, lead_beta = beta.v_beta, beta.lead_beta
         step_valuations = [st.valuation for st in per_step]
 

@@ -63,7 +63,6 @@ from wittcycle.padic import (
     witt_fold_columns,
     witt_from_int,
     witt_mul_columns,
-    witt_neg,
     witt_pack,
     witt_sub,
     witt_unpack,
@@ -345,11 +344,4 @@ def _contract_once(indices, params):
     v_a, lead_a = valuation_and_unit(alpha, params)
     if v_b is PRECISION_INF or v_a is PRECISION_INF:
         return None
-    if v_a != v_b - params.f:
-        raise ArithmeticError(
-            "valuation split violated: v(alpha)=%s v(beta)=%s f=%s"
-            % (v_a, v_b, params.f)
-        )
-    if lead_a != witt_neg(lead_b, params.residue):
-        raise ArithmeticError("leading digits are not opposite")
     return ContractionResult(alpha, beta, v_a, lead_a, v_b, lead_b, params)

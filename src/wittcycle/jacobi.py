@@ -42,7 +42,6 @@ checked against each other in the tests.
 import math
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 
 from wittcycle import _tables
@@ -143,27 +142,10 @@ def jacobi_sum(a, b, zero_convention, params):
     return out
 
 
-@dataclass(frozen=True)
-class StickelbergerData:
-    """Digit data for a Jacobi sum and the unit it predicts.
-
-    u is the p-adic valuation; unit is the leading digit as an integer mod p
-    (the leading digit always lies in the prime field).  wrapped records
-    whether a + b exceeded q - 1 before taking digits.
-    """
-
-    a: int
-    b: int
-    a_digits: tuple
-    b_digits: tuple
-    sum_digits: tuple
-    wrapped: bool
-    u: int
-    unit: int
-
-
 def stickelberger_data(a, b, params):
-    """Valuation and leading digit of the Jacobi sum from digit counting.
+    """Valuation and leading digit of the Jacobi sum from digit counting,
+    as (u, unit): u the p-adic valuation, unit the leading digit as an
+    integer mod p (the leading digit always lies in the prime field).
 
     Requires 0 < a, b < q-1 and a + b != q-1; those edge cases have their
     own closed forms and are rejected here.
@@ -176,8 +158,7 @@ def stickelberger_data(a, b, params):
     if a + b == q - 1:
         raise ValueError("a + b = q-1 is the boundary case, not handled here")
     s = a + b
-    wrapped = s > q - 1
-    if wrapped:
+    if s > q - 1:
         s -= q - 1
     ad = digits(a, p, f)
     bd = digits(b, p, f)
@@ -195,7 +176,7 @@ def stickelberger_data(a, b, params):
     unit = (num * pow(den, p - 2, p)) % p
     if (f - 1 + u) % 2:
         unit = (-unit) % p
-    return StickelbergerData(a, b, ad, bd, sd, wrapped, u, unit)
+    return u, unit
 
 
 def factorial_mod_p(n, p):

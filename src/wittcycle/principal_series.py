@@ -118,15 +118,6 @@ class PSModule:
         if self.chi.qm1 != self.params.q - 1:
             raise ValueError("character does not match the field size")
 
-    @property
-    def dim(self):
-        return self.params.q + 1
-
-
-def phi_vector(module):
-    """The canonical generator: supported on the Borel, value 1 at 1."""
-    return {0: witt_one(module.params)}
-
 
 def ps_act(module, x, v):
     """Act on a vector by a group element (4-tuple) or group-algebra element."""

@@ -18,7 +18,7 @@ from wittcycle.principal_series import exponent_shift, make_char
 REDUCIBLE = "reducible-split"
 IRREDUCIBLE = "irreducible"
 
-_KIND_ALIASES = {
+KIND_ALIASES = {
     "reducible-split": REDUCIBLE,
     "reducible": REDUCIBLE,
     "red": REDUCIBLE,
@@ -29,7 +29,7 @@ _KIND_ALIASES = {
 
 def normalize_kind(kind):
     try:
-        return _KIND_ALIASES[kind]
+        return KIND_ALIASES[kind]
     except KeyError:
         raise ValueError("kind must be reducible-split or irreducible") from None
 
@@ -228,7 +228,6 @@ class CycleData:
     k: int
     chars: tuple
     iplus: tuple
-    iplus_digits: tuple
     sym_diff_size: int
     degenerate: tuple
     kind: str
@@ -268,18 +267,15 @@ def cycle_from(rho, start):
     # delta maps the boundary changes of J onto those of delta(J), so the
     # symmetric difference size is the same at every step
     sym = len(start ^ delta(start, rho.kind, f))
-    digits = []
     values = []
     degenerate = []
     for t in range(k):
         # k >= 2 and distinct characters: no step repeats its character
         nxt = chars[(t + 1) % k]
-        dg = iplus_of_step(orbit[t], rho)
-        val = digits_value(dg, rho.params.p)
+        val = digits_value(iplus_of_step(orbit[t], rho), rho.params.p)
         # digit values stay strictly inside (0, q-1), so no wrap case here
         if exponent_shift(chars[t], nxt) != val:
             raise ArithmeticError("digit rule disagrees with the character shift")
-        digits.append(dg)
         values.append(val)
         degenerate.append(nxt == chars[t].swap())
     # chars[t+1] = chars[0] * alpha^(iplus[0] + ... + iplus[t]) by the shift
@@ -291,7 +287,6 @@ def cycle_from(rho, start):
         k,
         tuple(chars),
         tuple(values),
-        tuple(digits),
         sym,
         tuple(degenerate),
         rho.kind,
@@ -321,11 +316,6 @@ def survey_orbits(rho):
 def cycles_of(rho):
     """The valid cycles only."""
     return survey_orbits(rho)[0]
-
-
-def rotate_cycle(cycle, t, rho):
-    """The same orbit anchored at position t."""
-    return cycle_from(rho, cycle.subsets[t % cycle.k])
 
 
 # explicit component table for the split reducible case, keyed by the

