@@ -46,7 +46,6 @@ from wittcycle.padic import (
 from wittcycle.principal_series import (
     PSModule,
     eigen_check,
-    exponent_shift,
     h_component_characters,
     h_components,
     ps_act,
@@ -397,7 +396,7 @@ def _cmd_cycles(ns, params):
     items = []
     for cyc in cycles:
         shifts_ok = (
-            (None, exponent_shift(chi, nxt) == iplus)
+            (None, chi.times_alpha(iplus) == nxt)
             for chi, nxt, iplus in zip(cyc.chars, cyc.chars[1:] + cyc.chars[:1], cyc.iplus)
         )
         items.append(
@@ -758,8 +757,10 @@ def build_parser():
     common.add_argument("--N", type=int, default=None, help="precision override")
     common.add_argument("--json", action="store_true", help="emit the JSON schema")
     common.add_argument("--out", default=None, help="write the report to FILE")
-    common.add_argument("--seed", type=int, default=0, help="seed for sampled suites")
     common.add_argument("--jobs", type=_at_least_1, default=1, help="worker processes")
+
+    sampled = argparse.ArgumentParser(add_help=False, parents=[common])
+    sampled.add_argument("--seed", type=int, default=0, help="seed for sampled suites")
 
     rho = argparse.ArgumentParser(add_help=False, parents=[common])
     rho.add_argument(
@@ -783,7 +784,7 @@ def build_parser():
     sp.add_argument("--convention", choices=["standard", "J0"], default="standard")
 
     sp = sub.add_parser(
-        "stickelberger-scan", parents=[common], help="valuations and leads over all pairs"
+        "stickelberger-scan", parents=[sampled], help="valuations and leads over all pairs"
     )
     sp.set_defaults(handler=_cmd_stickelberger_scan)
     sp.add_argument("--limit", type=_at_least_1, default=None, help="sample this many pairs")
@@ -814,7 +815,7 @@ def build_parser():
     sp.add_argument("--w", type=_word, required=True, help="comma list of id/s")
     sp.add_argument("--w-prime", type=_word, required=True, dest="w_prime")
 
-    sp = sub.add_parser("selftest", parents=[common], help="aggregate verification battery")
+    sp = sub.add_parser("selftest", parents=[sampled], help="aggregate verification battery")
     sp.set_defaults(handler=_cmd_selftest)
     sp.add_argument("--level", choices=["quick", "full"], default="quick")
 

@@ -18,8 +18,11 @@ times label 1 + code(-1/mu), so these q+1 vectors are a basis.  A vector
 there is a group-algebra element y supported on U- and w, standing for
 y phi, and operators act on y by the group-algebra product.  S+_i phi is
 the kernel s_operator(i) itself.  S+_i y is an additive convolution over
-F_q on the U- part (group_algebra.u_convolve); U- fixes w phi, which is
-multiplied by the sum of the kernel's coefficients.  The involution
+F_q on the U- part (group_algebra.u_convolve).  U- fixes w phi, so
+S+_i w phi = (sum over lam != 0 of [lam]^i) w phi, a nontrivial character
+summed over F_q^x for 0 < i < q-1: exactly 0 in W(F_q).  With
+S_0 phi = w S+_0 phi = w S+_{q-1} phi + w phi this gives
+S_i S_0 phi = w S+_i w S+_{q-1} phi on the exchange route.  The involution
 w = GL2_W swaps GL2_ID and GL2_W, and for mu != 0 the Bruhat
 decomposition
 
@@ -57,7 +60,6 @@ from wittcycle import _tables
 from wittcycle.group_algebra import GL2_ID, GL2_W, gl2_inv, s_operator, scale_vector, u_convolve
 from wittcycle.padic import (
     escalate,
-    witt_mul,
     witt_mul_columns,
     witt_one,
     witt_pack,
@@ -94,17 +96,6 @@ class HChar:
 def make_char(m1, m2, params):
     m = params.q - 1
     return HChar(m1 % m, m2 % m, m)
-
-
-def exponent_shift(xi1, xi2):
-    """The n in [1, q-1] with xi2 = xi1 alpha^n, if there is one."""
-    if xi1.qm1 != xi2.qm1:
-        raise ValueError("characters live on different tori")
-    m = xi1.qm1
-    n = (xi2.m1 - xi1.m1) % m
-    if (xi2.m2 - xi1.m2) % m != (-n) % m:
-        raise ValueError("characters are not related by a power of alpha")
-    return n if n else m
 
 
 @dataclass(frozen=True)
@@ -245,39 +236,14 @@ def _w_map(module, y):
     return out
 
 
-def _s_plus(y, i, params):
-    """S+_i y for y on U- and w: one additive convolution on the U- part,
-    and w phi, which U- fixes, times the sum of the kernel's coefficients."""
-    kernel = s_operator(i, params)
-    out = u_convolve({g: c for g, c in y.items() if g != GL2_W}, kernel, params)
-    if GL2_W in y:
-        total = tuple(sum(col) % params.pN for col in zip(*kernel.values()))
-        at_w = witt_mul(y[GL2_W], total, params)
-        if any(at_w):
-            out[GL2_W] = at_w
-    return out
-
-
 def exchange_vectors(module, i_psi):
-    """S_0 phi, S_{i_psi} S_0 phi and S+_{q-1-i_psi} phi, each as the element
-    y on U- and w that stands for y phi.
-
-    S_i = w S+_i, so the three cost one u_convolve and two O(q) w-maps.
-    """
+    """S_{i_psi} S_0 phi = w S+_{i_psi} w S+_{q-1} phi and S+_{q-1-i_psi} phi,
+    each as the element y on U- and w that stands for y phi (module
+    docstring), for 0 < i_psi < q-1: one u_convolve and two O(q) w-maps."""
     params = module.params
-    s0phi = _w_map(module, s_operator(0, params))
-    u = _w_map(module, _s_plus(s0phi, i_psi, params))
-    return s0phi, u, s_operator(params.q - 1 - i_psi, params)
-
-
-def _exchange_args(psi_s, i_psi, params):
-    """i_psi as an int, once it and psi_s are checked against params."""
-    if psi_s.qm1 != params.q - 1:
-        raise ValueError("character does not match the field size")
-    i_psi = int(i_psi)
-    if not 0 < i_psi < params.q - 1:
-        raise ValueError("need 0 < i_psi < q-1")
-    return i_psi
+    s0_less_w = _w_map(module, s_operator(params.q - 1, params))  # S_0 phi - w phi
+    u = _w_map(module, u_convolve(s0_less_w, s_operator(i_psi, params), params))
+    return u, s_operator(params.q - 1 - i_psi, params)
 
 
 def exchange_coefficient(psi_s, i_psi, params):
@@ -291,7 +257,11 @@ def exchange_coefficient(psi_s, i_psi, params):
     swapped, the character of w phi; its value is not checked.
     Returns (c, params_used).
     """
-    i_psi = _exchange_args(psi_s, i_psi, params)
+    if psi_s.qm1 != params.q - 1:
+        raise ValueError("character does not match the field size")
+    i_psi = int(i_psi)
+    if not 0 < i_psi < params.q - 1:
+        raise ValueError("need 0 < i_psi < q-1")
     return escalate(lambda work: _exchange_once(psi_s, i_psi, work), params, "exchange constant")
 
 
@@ -302,15 +272,14 @@ def exchange_constant(psi_s, i_psi, params):
     h_component_characters counts twice; that degenerate case raises
     ExchangeError.  Returns (c, i_plus, params_used).
     """
-    i_psi = _exchange_args(psi_s, i_psi, params)
+    c, used = exchange_coefficient(psi_s, i_psi, params)
     if psi_s.times_alpha(-i_psi) == psi_s.swap():
         raise ExchangeError("target character has multiplicity 2 in the induced module")
-    c, used = exchange_coefficient(psi_s, i_psi, params)
     return c, params.q - 1 - i_psi, used
 
 
 def _exchange_once(psi_s, i_psi, params):
-    _, u, w = exchange_vectors(PSModule(psi_s, params), i_psi)
+    u, w = exchange_vectors(PSModule(psi_s, params), i_psi)
     # w = S+_{i_plus} has the Teichmuller unit [mu]^i_plus at u-(mu), and 1 at
     # u-(1), so c is u's coefficient there if u's U- part is proportional to w
     u_minus = dict(u)

@@ -13,7 +13,7 @@ Subsets are frozensets of residues mod f.  A formal weight is a tuple of
 from dataclasses import dataclass
 
 from wittcycle.padic import witt_from_int
-from wittcycle.principal_series import exponent_shift, make_char
+from wittcycle.principal_series import make_char
 
 REDUCIBLE = "reducible-split"
 IRREDUCIBLE = "irreducible"
@@ -273,8 +273,8 @@ def cycle_from(rho, start):
         # k >= 2 and distinct characters: no step repeats its character
         nxt = chars[(t + 1) % k]
         val = digits_value(iplus_of_step(orbit[t], rho), rho.params.p)
-        # digit values stay strictly inside (0, q-1), so no wrap case here
-        if exponent_shift(chars[t], nxt) != val:
+        # digit values stay strictly inside (0, q-1), so val is the shift itself
+        if chars[t].times_alpha(val) != nxt:
             raise ArithmeticError("digit rule disagrees with the character shift")
         values.append(val)
         degenerate.append(nxt == chars[t].swap())

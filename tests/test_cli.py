@@ -132,6 +132,31 @@ def test_cycles_shift_check_reads_the_characters(monkeypatch, capsys):
     assert not check["pass"] and check["got"] == 2
 
 
+def test_cycles_unrelated_characters_fail_the_shift_check(monkeypatch, capsys):
+    # a first character that is no power of alpha away from its neighbours
+    # fails the shift tally (exit 1); it is not a bad input (exit 2)
+    survey = cli.survey_orbits
+
+    def unrelated_first(rho):
+        cycles, excluded = survey(rho)
+        cyc = cycles[0]
+        chi = cyc.chars[0]
+        moved = make_char(chi.m1 + 1, chi.m2, rho.params)
+        return [dataclasses.replace(cyc, chars=(moved,) + cyc.chars[1:])], excluded
+
+    monkeypatch.setattr(cli, "survey_orbits", unrelated_first)
+    code, rep = _json_report(
+        capsys, ["cycles", "--p", "7", "--f", "2", "--kind", "irr", "--r", "2", "--json"]
+    )
+    assert code == 1
+    [check] = [
+        c
+        for c in rep["items"][0]["checks"]
+        if c["name"] == "digit formula matches character shift"
+    ]
+    assert not check["pass"] and check["got"] == 2
+
+
 def test_route_error_is_a_failing_routes_agree_check(monkeypatch, capsys):
     # a disagreement raised by breuil_constant stays on its cycle's item,
     # with the cycle's outputs, instead of aborting the whole report
@@ -463,6 +488,19 @@ def test_every_verb_dispatches_to_its_handler():
     for verb, extra in _VERB_ARGS.items():
         ns = parser.parse_args([verb, "--p", "7", "--f", "1"] + extra.split())
         assert ns.handler is getattr(cli, "_cmd_" + verb.replace("-", "_"))
+
+
+def test_seed_parses_only_where_something_is_sampled(capsys):
+    parser = build_parser()
+    for verb, extra in _VERB_ARGS.items():
+        argv = [verb, "--p", "7", "--f", "1", "--seed", "1"] + extra.split()
+        if verb in ("stickelberger-scan", "selftest"):
+            assert parser.parse_args(argv).seed == 1
+        else:
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_run_api_direct():

@@ -9,7 +9,8 @@ digit counting of stickelberger_data, so the sum must not read the digit
 counting either, and the generic GL2 products ga_multiply and ps_act, the
 oracle the U- kernel is checked against, must not read the kernel, its
 packing, the column arithmetic or the exchange route's maps; nor may the
-closed forms read the kernel or the exchange route.  Walks
+closed forms read the kernel or the exchange route.  In group_algebra and
+principal_series the numeric route reaches only THREE_PIECES' defs.  Walks
 src/wittcycle/*.py with ast: from each root, every top-level def or class
 of the package whose name a reached body reads is followed in turn, and the
 names read along the way must miss the forbidden set.
@@ -32,7 +33,6 @@ NUMERIC = [
     "_exchange_once",
     "exchange_vectors",
     "_w_map",
-    "_s_plus",
     "_contract_once",
 ]
 
@@ -58,7 +58,26 @@ KERNEL = {
     "witt_mul_columns",
     "exchange_vectors",
     "_w_map",
-    "_s_plus",
+}
+
+# what the numeric route may reach in the operator modules: the U-
+# convolution with its packing, the kernels and the w-map, the exchange
+# vectors and their check, and the records they return or raise
+OPERATOR_MODULES = ("group_algebra.py", "principal_series.py")
+THREE_PIECES = {
+    "u_convolve",
+    "_pack",
+    "_cells",
+    "_fold_blocks",
+    "s_operator",
+    "scale_vector",
+    "_w_map",
+    "exchange_vectors",
+    "_exchange_once",
+    "ContractionResult",
+    "ExchangeError",
+    "HChar",
+    "PSModule",
 }
 
 # what the closed forms must not read: the kernel and the exchange route,
@@ -102,6 +121,16 @@ def test_numeric_route_reads_no_closed_formula():
     assert set(NUMERIC) <= set(defs)
     assert CLOSED <= set(defs)
     assert reached(NUMERIC, defs) & CLOSED == set()
+
+
+def test_numeric_route_reaches_only_the_three_pieces():
+    # the U- convolution and the w-map of group_algebra and principal_series;
+    # the Jacobi sum is checked against afterwards, never read
+    defs = definitions(p.read_text() for p in sorted(SRC.glob("*.py")))
+    operator_defs = definitions((SRC / name).read_text() for name in OPERATOR_MODULES)
+    assert THREE_PIECES <= set(operator_defs)
+    reached_defs = reached(["exchange_coefficient", "_contract_once"], defs) & set(operator_defs)
+    assert reached_defs <= THREE_PIECES, reached_defs - THREE_PIECES
 
 
 def test_jacobi_sum_reads_no_digit_counting():

@@ -24,7 +24,6 @@ from wittcycle.principal_series import (
     exchange_coefficient,
     exchange_constant,
     exchange_vectors,
-    exponent_shift,
     h_component_characters,
     h_components,
     make_char,
@@ -177,16 +176,6 @@ def test_composition_identity_on_eigenvectors():
                     assert lhs == rhs, (params.p, params.f, (m1, m2), i, j)
 
 
-def test_exponent_shift_values():
-    a = make_char(2, 0, P7)
-    b = make_char(0, 2, P7)
-    assert exponent_shift(a, b) == 4
-    assert exponent_shift(b, a) == 2
-    assert exponent_shift(a, a) == 6  # the trivial shift reports q-1
-    with pytest.raises(ValueError):
-        exponent_shift(a, make_char(3, 0, P7))
-
-
 def test_exchange_constant_matches_jacobi_sum():
     psi_s = make_char(10, 2, P7F2)
     i_psi = 5
@@ -247,10 +236,29 @@ def test_exchange_rejects_a_character_of_another_field():
         exchange_constant(make_char(2, 0, P7), 2, P7F2)
 
 
+@pytest.mark.parametrize("params", [P7, P7F2], ids=["q7", "q49"])
+def test_upper_operator_kills_w_phi(params):
+    # U- fixes w phi (label 1), so S+_i w phi is the sum of [lam]^i over
+    # lam != 0 times w phi: 0 for 0 < i < q-1, which lets the exchange route
+    # drop the w phi part of S_0 phi; q-1 at i = q-1, and q at i = 0, where
+    # lam = 0 adds the identity (q vanishes mod p, -1 does not)
+    rng = random.Random(params.q)
+    q = params.q
+    for work in (params, params.residue):
+        for _ in range(2):
+            module = PSModule(make_char(rng.randrange(q - 1), rng.randrange(q - 1), work), work)
+            wphi = {1: witt_one(work)}
+            for i in range(q):
+                total = {0: q, q - 1: q - 1}.get(i, 0)
+                want = scale_vector(wphi, witt_from_int(total, work), work)
+                assert ps_act(module, s_operator(i, work), wphi) == want, (work.N, module.chi, i)
+
+
 @pytest.mark.parametrize("params", [P7, P7F2, P11F2], ids=["q7", "q49", "q121"])
 def test_chart_vectors_match_generic_action(params):
     # the route on U- and w against term-by-term ps_act, at the working N and
-    # mod p; indices include 0, q-1 and the degenerate target i = m1 - m2
+    # mod p; indices include the degenerate target i = m1 - m2 when it lies
+    # in (0, q-1)
     rng = random.Random(params.q)
     vrng = random.Random(params.q + 1)
     q = params.q
@@ -260,9 +268,8 @@ def test_chart_vectors_match_generic_action(params):
             module = PSModule(chi, work)
             phi = {0: witt_one(module.params)}
             s0phi = ps_act(module, s_by_oracle(0, work), phi)
-            for i in sorted({0, q - 1, chi.a_exponent(), rng.randrange(1, q - 1)}):
+            for i in sorted({chi.a_exponent(), rng.randrange(1, q - 1)} - {0}):
                 want = (
-                    s0phi,
                     ps_act(module, s_by_oracle(i, work), s0phi),
                     ps_act(module, s_operator(q - 1 - i, work), phi),
                 )
@@ -316,17 +323,17 @@ def test_exchange_proportionality_check_bites(monkeypatch):
     vectors = principal_series.exchange_vectors
 
     def off_by_one(module, i_psi):
-        s0phi, u, w = vectors(module, i_psi)
+        u, w = vectors(module, i_psi)
         g = next(g for g in u if g != (1, 0, 1, 1))
         u = dict(u)
         u[g] = witt_add(u[g], witt_one(module.params), module.params)
-        return s0phi, u, w
+        return u, w
 
     monkeypatch.setattr(principal_series, "exchange_vectors", off_by_one)
     with pytest.raises(ExchangeError):
         exchange_constant(psi_s, 5, P7F2)
     monkeypatch.setattr(
-        principal_series, "exchange_vectors", lambda m, i: (None, {}, vectors(m, i)[2])
+        principal_series, "exchange_vectors", lambda m, i: ({}, vectors(m, i)[1])
     )
     with pytest.raises(PrecisionError):
         exchange_constant(psi_s, 5, P7F2)
@@ -349,13 +356,13 @@ def test_exchange_check_bites_at_a_degenerate_step(monkeypatch, kind, r, alpha_p
     vectors = principal_series.exchange_vectors
 
     def off_by_p(module, i):
-        s0phi, u, w = vectors(module, i)
+        u, w = vectors(module, i)
         if module.chi.times_alpha(-i) == module.chi.swap():
             assert GL2_W in u
             g = next(g for g in u if g not in (GL2_W, (1, 0, 1, 1)))
             u = dict(u)
             u[g] = witt_add(u[g], witt_from_int(module.params.p, module.params), module.params)
-        return s0phi, u, w
+        return u, w
 
     monkeypatch.setattr(principal_series, "exchange_vectors", off_by_p)
     with pytest.raises(ExchangeError, match="not proportional"):
@@ -369,9 +376,9 @@ def test_exchange_refuses_w_phi_at_a_nondegenerate_step(monkeypatch):
     vectors = principal_series.exchange_vectors
 
     def with_w_phi(module, i_psi):
-        s0phi, u, w = vectors(module, i_psi)
+        u, w = vectors(module, i_psi)
         assert GL2_W not in u
-        return s0phi, {**u, GL2_W: witt_one(module.params)}, w
+        return {**u, GL2_W: witt_one(module.params)}, w
 
     monkeypatch.setattr(principal_series, "exchange_vectors", with_w_phi)
     for exchange in (exchange_coefficient, exchange_constant):
