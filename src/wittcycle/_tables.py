@@ -11,8 +11,8 @@ search's own walk through the powers of g, dlog inverts it
 zech[k] = dlog(1 - g^k) (zech[0] = -1, since 1 - g^0 = 0) gives 1 - alpha
 as an exponent.  A product is an exponent sum, so Jacobi sums and the
 monomial maps of the principal series need nothing else.  The q x q arrays
-mul and add serve only the GL2 oracle (gl2_mul, gl2_inv, ga_multiply, the
-generic ps_act); they are built on first read.
+mul and add serve only the GL2 oracle (gl2_mul, ga_multiply and the
+Bruhat projection of ps_act); they are built on first read.
 
 Tables depend only on (p, f, modulus) except for the Teichmuller column,
 which also depends on N; the two caches are split so precision escalation

@@ -44,6 +44,8 @@ is the same as reducing every term.  Left and right translation are
 injective, so a key collects at most min(|x|, |y|) pairs, and a
 t-coefficient of one pair's product sums at most f terms below (p^N-1)^2;
 slots of bit_length(min(|x|, |y|) f (p^N-1)^2) bits never carry.
+principal_series.ps_act is this product followed by a Bruhat projection
+onto the principal series basis.
 """
 
 import decimal
@@ -83,22 +85,6 @@ def gl2_mul(g, h, params):
         add[mul[a * q + f] * q + mul[b * q + h2]],
         add[mul[c * q + e] * q + mul[d * q + g2]],
         add[mul[c * q + f] * q + mul[d * q + h2]],
-    )
-
-
-def gl2_inv(g, params):
-    T = _tables.tables_for(params)
-    q, mul, inv, neg, add = T.q, T.mul, T.inv, T.neg, T.add
-    a, b, c, d = g
-    det = add[mul[a * q + d] * q + neg[mul[b * q + c]]]
-    if det == 0:
-        raise ZeroDivisionError("matrix is singular")
-    di = inv[det]
-    return (
-        mul[d * q + di],
-        mul[neg[b] * q + di],
-        mul[neg[c] * q + di],
-        mul[a * q + di],
     )
 
 

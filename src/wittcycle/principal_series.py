@@ -1,34 +1,33 @@
 """Induction to GL2(F_q) of a diagonal character, over W(F_q)/p^N.
 
-The module is realized as functions on the group that transform by the
-character under left multiplication by the upper triangular subgroup, with
-the action (h f)(g) = f(g h).  Basis labels are integers: label 0 is the
-coset of the identity (the function phi supported on the Borel with
-phi(1) = 1), label 1 + code(lam) is the coset of w n(lam) where w is the
-antidiagonal involution and n(lam) the upper unipotent.  Vectors are dicts
-from labels to Witt tuples with zero entries dropped.
+A diagonal character is a pair (m1, m2) of exponents mod q-1; phi is the
+function supported on the upper triangular Borel with phi(1) = 1, on which
+b = (a x; 0 d) acts by chi(b) = [a]^m1 [d]^m2.  By the Bruhat decomposition
+the q+1 vectors u-(mu) phi, mu in F_q, with u-(mu) = (1 0; mu 1), and
+w phi, w = GL2_W the antidiagonal involution, are a basis of the module.
+A vector is a group-algebra element y supported on U- and w, with zero
+coefficients dropped, standing for y phi: phi = u-(0) phi is GL2_ID.
 
-A diagonal character is a pair (m1, m2) of exponents mod q-1:
-diag(a, d) acts on the phi line by [a]^m1 [d]^m2.
+ps_act, the action of any group element or group-algebra element x, is
+the GL2 product x y (group_algebra.ga_multiply), each key g = (a b; c d)
+projected back onto the basis by the Bruhat split
 
-The exchange route works in a second basis of the same module: u-(mu) phi
-for mu in F_q, with u-(mu) = (1 0; mu 1), and w phi.  u-(0) phi = phi is
-label 0, w phi is label 1, and u-(mu) phi for mu != 0 is a Teichmuller unit
-times label 1 + code(-1/mu), so these q+1 vectors are a basis.  A vector
-there is a group-algebra element y supported on U- and w, standing for
-y phi, and operators act on y by the group-algebra product.  S+_i phi is
-the kernel s_operator(i) itself.  S+_i y is an additive convolution over
-F_q on the U- part (group_algebra.u_convolve).  U- fixes w phi, so
+    a != 0:  g = u-(c/a) (a b; 0 det/a),  g phi = [a]^m1 [det/a]^m2 u-(c/a) phi,
+    a = 0:   g = w (c d; 0 b),            g phi = [c]^m1 [b]^m2 w phi,
+
+with one Teichmuller lookup and one witt_mul per key.  It is the oracle
+the exchange route is checked against.
+
+The exchange route never calls ps_act: it applies its operators by the
+U- convolution and the w-map below.  S+_i phi is the kernel s_operator(i)
+itself.  S+_i y is an additive convolution over F_q on the U- part
+(group_algebra.u_convolve).  U- fixes w phi, so
 S+_i w phi = (sum over lam != 0 of [lam]^i) w phi, a nontrivial character
 summed over F_q^x for 0 < i < q-1: exactly 0 in W(F_q).  With
 S_0 phi = w S+_0 phi = w S+_{q-1} phi + w phi this gives
-S_i S_0 phi = w S+_i w S+_{q-1} phi on the exchange route.  The involution
-w = GL2_W swaps GL2_ID and GL2_W, and for mu != 0 the Bruhat
-decomposition
-
-    w u-(mu) = (mu 1; 1 0) = u-(1/mu) b,  b = (mu 1; 0 -1/mu),
-
-with b upper triangular, gives
+S_i S_0 phi = w S+_i w S+_{q-1} phi on the exchange route.  w swaps
+GL2_ID and GL2_W, and for mu != 0 the split of w u-(mu) = (mu 1; 1 0),
+det -1, gives
 
     w u-(mu) phi = [mu]^m1 [-1/mu]^m2 u-(1/mu) phi
                  = (-1)^m2 [mu]^(m1-m2) u-(1/mu) phi,
@@ -38,32 +37,27 @@ coordinates are gathered in one pass and multiplied in as one column
 product (padic.witt_mul_columns).  So S_i = w S+_i costs one
 convolution and O(q) work, touching only the O(q) field tables (inv, neg,
 dlog, exp) and the Teichmuller column.  exchange_vectors, the production
-route of exchange_coefficient at every step, works there;
-ps_act, the action of any group element or group-algebra element term by
-term through the q x q oracle tables, is the oracle it is checked against.
+route of exchange_coefficient at every step, works there.
 
-ps_act sums lazily, like group_algebra.ga_multiply: each term
-c [chi(b)^(-1)] hcoef is a product of three coefficients packed in t
-(padic.witt_pack), chi(b)^(-1) = [g^e] read from a packed column at
-e = -(m1 dlog d1 + m2 dlog d2), one lookup per term; the exact sum over Z
-is reduced once per label, with the fold from t-degree 3f-3
-(padic.witt_unpack).  A group element permutes
-the labels, so a label collects at most |x| terms, and a t-coefficient of
-one term sums at most f^2 products below (p^N-1)^3; slots of
-bit_length(|x| f^2 (p^N-1)^3) bits never carry.
+The w phi coordinate of S_i S_0 phi is w of the phi coordinate of
+S+_i w S+_{q-1} phi, the sum over lam != 0 of
+[lam]^i (-1)^m2 [-lam]^(m2-m1) = (-1)^m1 [lam]^(i-m1+m2): (-1)^m1 (q-1)
+when i = m1 - m2 mod q-1, which is when the target chi alpha^(-i) is
+chi swapped, the character of w phi, and 0 at every other step.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 
 from wittcycle import _tables
-from wittcycle.group_algebra import GL2_ID, GL2_W, gl2_inv, s_operator, scale_vector, u_convolve
+from wittcycle.group_algebra import GL2_ID, GL2_W, ga_multiply, s_operator, scale_vector, u_convolve
 from wittcycle.padic import (
     escalate,
+    witt_add,
+    witt_from_int,
+    witt_mul,
     witt_mul_columns,
     witt_one,
-    witt_pack,
-    witt_unpack,
     witt_zero,
 )
 
@@ -111,60 +105,42 @@ class PSModule:
 
 
 def ps_act(module, x, v):
-    """Act on a vector by a group element (4-tuple) or group-algebra element."""
+    """Act on a vector by a group element (4-tuple) or group-algebra element:
+    the product x v, each key projected onto u-(mu) phi or w phi."""
     params = module.params
     if isinstance(x, tuple):
         x = {x: witt_one(params)}
     T = _tables.tables_for(params)
-    q, mul, add, neg, inv, dlog = T.q, T.mul, T.add, T.neg, T.inv, T.dlog
-    m1, m2 = module.chi.m1, module.chi.m2
-    f = params.f
-    width = (len(x) * f * f * (params.pN - 1) ** 3).bit_length()
-    vs = [(label, witt_pack(c, width, params)) for label, c in v.items()]
+    q, mul, add, neg, inv, exp, dlog = T.q, T.mul, T.add, T.neg, T.inv, T.exp, T.dlog
     teich = _tables.teich_by_code(params)
-    scalars = [witt_pack(teich[c], width, params) for c in T.exp]  # [g^e] at e
-    acc = {}
-    for h, hcoef in x.items():
-        e, f2, g2, h2 = gl2_inv(h, params)
-        hcoef = witt_pack(hcoef, width, params)
-        for label, c in vs:
-            if label == 0:
-                m00, m01, m10, m11 = e, f2, g2, h2
-            else:
-                lam = label - 1
-                m00, m01 = g2, h2
-                m10 = add[e * q + mul[lam * q + g2]]
-                m11 = add[f2 * q + mul[lam * q + h2]]
-            if m10 == 0:
-                lbl = 0
-                d1, d2 = m00, m11
-            else:
-                lbl = 1 + mul[m11 * q + inv[m10]]
-                det = add[mul[m00 * q + m11] * q + neg[mul[m01 * q + m10]]]
-                d1 = mul[neg[det] * q + inv[m10]]
-                d2 = m10
-            # chi(borel part)^(-1) = [d1]^(-m1) [d2]^(-m2); d1, d2 are units
-            scal = scalars[-(m1 * dlog[d1] + m2 * dlog[d2]) % (q - 1)]
-            acc[lbl] = acc.get(lbl, 0) + c * scal * hcoef
+    m1, m2 = module.chi.m1, module.chi.m2
     out = {}
-    for lbl, s in acc.items():
-        w = witt_unpack(s, width, 3 * f - 3, params)
-        if any(w):
-            out[lbl] = w
-    return out
+    for (a, b, c, d), coeff in ga_multiply(x, v, params).items():
+        det = add[mul[a * q + d] * q + neg[mul[b * q + c]]]
+        if not det:
+            raise ZeroDivisionError("matrix is singular")
+        if a:
+            # chi(a b; 0 det/a) = [a]^(m1-m2) [det]^m2
+            key, e = (1, 0, mul[c * q + inv[a]], 1), (m1 - m2) * dlog[a] + m2 * dlog[det]
+        else:
+            key, e = GL2_W, m1 * dlog[c] + m2 * dlog[b]
+        coeff = witt_mul(coeff, teich[exp[e % (q - 1)]], params)
+        prev = out.get(key)
+        out[key] = coeff if prev is None else witt_add(prev, coeff, params)
+    return {key: coeff for key, coeff in out.items() if any(coeff)}
 
 
 def _torus_characters(module):
-    """The q+1 eigenline characters, in the label order of h_components."""
-    swapped = module.chi.swap()
-    return [module.chi, swapped] + [swapped.times_alpha(-j) for j in range(module.params.q - 1)]
+    """The q+1 eigenline characters, in the order of h_components."""
+    chi = module.chi
+    return [chi, chi.swap()] + [chi.times_alpha(j) for j in range(module.params.q - 1)]
 
 
 def h_component_characters(module):
     """The q+1 eigencharacters of the torus action, with multiplicity.
 
-    Labels 0 and 1 (the two Borel-fixed lines) carry chi and chi swapped;
-    the unit-indexed combinations carry chi swapped times alpha^(-j).
+    phi and w phi carry chi and chi swapped; the sum over mu != 0 of
+    [mu]^j u-(mu) phi carries chi times alpha^j.
     """
     return Counter(_torus_characters(module))
 
@@ -181,9 +157,9 @@ def h_components(module):
     exp, dlog = T.exp, T.dlog
     teich = _tables.teich_by_code(params)
     q = params.q
-    # entry lam of vector j is [lam]^j, read off dlog as [g^(dlog(lam) j)]
-    vecs = [{0: witt_one(params)}, {1: witt_one(params)}] + [
-        {1 + lam: teich[exp[dlog[lam] * j % (q - 1)]] for lam in range(1, q)}
+    # entry mu of vector j is [mu]^j, read off dlog as [g^(dlog(mu) j)]
+    vecs = [{GL2_ID: witt_one(params)}, {GL2_W: witt_one(params)}] + [
+        {(1, 0, mu, 1): teich[exp[dlog[mu] * j % (q - 1)]] for mu in range(1, q)}
         for j in range(q - 1)
     ]
     out = {}
@@ -253,12 +229,10 @@ def exchange_coefficient(psi_s, i_psi, params):
     not.  The constant is read off the coordinate at u-(1), where
     S+_{q-1-i_psi} phi is 1, and the U- part of S_{i_psi} S_0 phi must equal
     c S+_{q-1-i_psi} phi exactly at the working precision.  The w phi
-    coordinate d must vanish unless the target psi_s alpha^(-i_psi) is psi_s
-    swapped, the character of w phi; its value is not checked.
-    Returns (c, params_used).
+    coordinate d must be (-1)^m1 (q-1), psi_s = (m1, m2), when the target
+    psi_s alpha^(-i_psi) is psi_s swapped, the character of w phi, and 0 at
+    every other step (module docstring).  Returns (c, params_used).
     """
-    if psi_s.qm1 != params.q - 1:
-        raise ValueError("character does not match the field size")
     i_psi = int(i_psi)
     if not 0 < i_psi < params.q - 1:
         raise ValueError("need 0 < i_psi < q-1")
@@ -287,8 +261,10 @@ def _exchange_once(psi_s, i_psi, params):
     c = u_minus.get((1, 0, 1, 1), witt_zero(params))
     if u_minus != scale_vector(w, c, params):
         raise ExchangeError("vectors are not proportional")
-    if at_w is not None and psi_s.times_alpha(-i_psi) != psi_s.swap():
-        raise ExchangeError("w phi coordinate at a nondegenerate step")
+    degenerate = psi_s.times_alpha(-i_psi) == psi_s.swap()
+    d = witt_from_int((-1) ** psi_s.m1 * (params.q - 1), params) if degenerate else None
+    if at_w != d:
+        raise ExchangeError("wrong w phi coordinate")
     if not any(c):
         return None  # the U- part vanished at this precision
     return c, params

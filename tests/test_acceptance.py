@@ -38,6 +38,7 @@ from wittcycle.constants import (
     theorem_form,
 )
 from wittcycle.group_algebra import (
+    GL2_ID,
     GL2_W,
     check_contract_pre,
     contract_splus,
@@ -212,7 +213,7 @@ def _composition_identity(params, charlist, npairs, rng):
     for m1, m2 in charlist:
         chi = make_char(m1, m2, params)
         module = PSModule(chi, params)
-        phi = {0: witt_one(params)}
+        phi = {GL2_ID: witt_one(params)}
         s0phi = ps_act(module, s_by_oracle(0, params), phi)
         for v, rprime, eta_exp in [
             (phi, (chi.m1 - chi.m2) % (q - 1), chi.m2),

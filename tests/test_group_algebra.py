@@ -14,7 +14,6 @@ from wittcycle.group_algebra import (
     check_contract_pre,
     contract_splus,
     ga_multiply,
-    gl2_inv,
     gl2_mul,
     s_operator,
     s_product_closed,
@@ -47,11 +46,25 @@ def s_by_oracle(i, params):
     return ga_act_matrix(GL2_W, s_operator(i, params), params)
 
 
+def gl2_det(g, params):
+    T = tables_for(params)
+    a, b, c, d = g
+    return T.add[T.mul[a * T.q + d] * T.q + T.neg[T.mul[b * T.q + c]]]
+
+
 def test_gl2_helpers():
     g = (2, 3, 1, 6)  # det = 9 = 2 mod 7
+    assert gl2_det(g, P71) == 2
     assert gl2_mul(g, GL2_ID, P71) == g
-    assert gl2_mul(g, gl2_inv(g, P71), P71) == GL2_ID
+    # g times its adjugate (6 -3; -1 2) is det times the identity
+    assert gl2_mul(g, (6, 4, 6, 2), P71) == (2, 0, 0, 2)
     assert gl2_mul(GL2_W, GL2_W, P71) == GL2_ID
+    # the determinant is multiplicative, so products of invertibles stay invertible
+    T, rng = tables_for(P72), random.Random(72)
+    for _ in range(20):
+        g, h = random_gl2(rng, P72), random_gl2(rng, P72)
+        want = T.mul[gl2_det(g, P72) * T.q + gl2_det(h, P72)]
+        assert gl2_det(gl2_mul(g, h, P72), P72) == want != 0
 
 
 def test_s_operator_support():
@@ -475,11 +488,8 @@ def _ga_multiply_ref(x, y, params):
 def random_gl2(rng, params):
     while True:
         g = tuple(rng.randrange(params.q) for _ in range(4))
-        try:
-            gl2_inv(g, params)
-        except ZeroDivisionError:
-            continue
-        return g
+        if gl2_det(g, params):
+            return g
 
 
 _ORACLE_FIELDS = pytest.mark.parametrize("params", [P71, P72], ids=["q7", "q49"])

@@ -48,7 +48,7 @@ JACOBI = [
 ]
 DIGIT_COUNTING = {"stickelberger_data", "factorial_mod_p"}
 
-ORACLE = ["ga_multiply", "ps_act", "gl2_inv", "gl2_mul"]
+ORACLE = ["ga_multiply", "ps_act", "gl2_mul"]
 KERNEL = {
     "u_convolve",
     "_pack",

@@ -4,7 +4,7 @@ import pytest
 
 from wittcycle import _tables, principal_series
 from wittcycle.constants import breuil_constant
-from wittcycle.group_algebra import GL2_W, gl2_inv, gl2_mul, s_operator, scale_vector
+from wittcycle.group_algebra import GL2_ID, GL2_W, gl2_mul, s_operator, scale_vector
 from wittcycle.jacobi import jacobi_sum
 from wittcycle.padic import (
     Params,
@@ -31,7 +31,7 @@ from wittcycle.principal_series import (
 )
 from wittcycle.weights import cycles_of, make_rho
 
-from test_group_algebra import random_gl2, s_by_oracle
+from test_group_algebra import gl2_det, random_gl2, s_by_oracle
 
 P7 = Params.make(7, 1)
 P7F2 = Params.make(7, 2)
@@ -51,56 +51,64 @@ def test_dimension_and_multiplicities():
 def test_phi_is_unipotent_fixed_eigenvector():
     chi = make_char(2, 0, P7)
     module = PSModule(chi, P7)
-    phi = {0: witt_one(module.params)}
+    phi = {GL2_ID: witt_one(module.params)}
     assert eigen_check(module, phi, chi)
     for x in range(7):
         assert ps_act(module, (1, x, 0, 1), phi) == phi
 
 
+def test_ps_act_refuses_a_singular_matrix():
+    # det 0 has no character value: both Bruhat cells would read dlog[0]
+    module = PSModule(make_char(3, 1, P7), P7)
+    phi = {GL2_ID: witt_one(P7)}
+    for g in [(1, 1, 1, 1), (0, 1, 0, 1), (0, 0, 1, 0)]:
+        with pytest.raises(ZeroDivisionError, match="singular"):
+            ps_act(module, g, phi)
+
+
 def test_eigen_check_rejects_non_eigenvectors():
     chi = make_char(3, 1, P7)
     module = PSModule(chi, P7)
-    phi = {0: witt_one(module.params)}
+    phi = {GL2_ID: witt_one(module.params)}
     # phi with the wrong character, and phi + w phi, whose lines carry chi
     # and chi swapped
     assert not eigen_check(module, phi, chi.swap())
-    assert not eigen_check(module, {0: witt_one(P7), 1: witt_one(P7)}, chi)
-    assert not eigen_check(module, {0: witt_one(P7), 1: witt_one(P7)}, chi.swap())
+    both = {GL2_ID: witt_one(P7), GL2_W: witt_one(P7)}
+    assert not eigen_check(module, both, chi)
+    assert not eigen_check(module, both, chi.swap())
 
 
 def test_all_declared_components_are_eigenvectors():
-    # and they are phi, w phi and the vectors lam -> [lam]^j, built for the
-    # reference with pow_code, independently of the dlog lookup
+    # and they are phi, w phi and the vectors sum of [mu]^j u-(mu) phi,
+    # built for the reference with pow_code, independently of the dlog
+    # lookup, each with the character chi alpha^j
     for params, (m1, m2) in [(P7, (3, 1)), (P7F2, (10, 2)), (P11F2, (7, 2))]:
         q, T, teich = params.q, _tables.tables_for(params), _tables.teich_by_code(params)
         chi = make_char(m1, m2, params)
         module = PSModule(chi, params)
+        comps = h_components(module)
         got = []
-        for xi, vecs in h_components(module).items():
+        for xi, vecs in comps.items():
             for v in vecs:
                 got.append(v)
                 assert eigen_check(module, v, xi)
-        want = [{0: witt_one(params)}, {1: witt_one(params)}] + [
-            {1 + lam: teich[T.pow_code(lam, j)] for lam in range(1, q)} for j in range(q - 1)
+        want = [(chi, {GL2_ID: witt_one(params)}), (chi.swap(), {GL2_W: witt_one(params)})] + [
+            (chi.times_alpha(j), {(1, 0, mu, 1): teich[T.pow_code(mu, j)] for mu in range(1, q)})
+            for j in range(q - 1)
         ]
-        assert sorted(sorted(v.items()) for v in got) == sorted(sorted(v.items()) for v in want)
+        for xi, v in want:
+            assert v in comps[xi]
+        assert len(got) == len(want)
 
 
 def test_action_is_multiplicative():
-    # acting by a product equals acting twice; exercises the coset
-    # normalization on random invertible matrices
+    # acting by a product equals acting twice; exercises the Bruhat
+    # projection on random invertible matrices
     rng = random.Random(5)
     chi = make_char(3, 1, P7)
     module = PSModule(chi, P7)
-    T = _tables.tables_for(P7)
-    q = T.q
-    vec = {0: witt_one(P7), 3: witt_one(P7)}
-    mats = []
-    while len(mats) < 8:
-        m = tuple(rng.randrange(q) for _ in range(4))
-        det = T.add[T.mul[m[0] * q + m[3]] * q + T.neg[T.mul[m[1] * q + m[2]]]]
-        if det:
-            mats.append(m)
+    vec = {GL2_ID: witt_one(P7), (1, 0, 3, 1): witt_one(P7), GL2_W: witt_from_int(2, P7)}
+    mats = [random_gl2(rng, P7) for _ in range(8)]
     for h1 in mats[:4]:
         for h2 in mats[4:]:
             joint = ps_act(module, gl2_mul(h1, h2, P7), vec)
@@ -111,7 +119,7 @@ def test_action_is_multiplicative():
 def test_operator_shifts_eigencharacter():
     chi = make_char(3, 1, P7)
     module = PSModule(chi, P7)
-    phi = {0: witt_one(module.params)}
+    phi = {GL2_ID: witt_one(module.params)}
     for i in range(1, 6):
         down = ps_act(module, s_by_oracle(i, P7), phi)
         assert down and eigen_check(module, down, chi.swap().times_alpha(-i))
@@ -145,7 +153,7 @@ def test_composition_identity_on_eigenvectors():
         for m1, m2 in charlist:
             chi = make_char(m1, m2, params)
             module = PSModule(chi, params)
-            phi = {0: witt_one(module.params)}
+            phi = {GL2_ID: witt_one(module.params)}
             s0phi = ps_act(module, s_by_oracle(0, params), phi)
             cases = [
                 (phi, (chi.m1 - chi.m2) % (q - 1), chi.m2),
@@ -238,7 +246,7 @@ def test_exchange_rejects_a_character_of_another_field():
 
 @pytest.mark.parametrize("params", [P7, P7F2], ids=["q7", "q49"])
 def test_upper_operator_kills_w_phi(params):
-    # U- fixes w phi (label 1), so S+_i w phi is the sum of [lam]^i over
+    # U- fixes w phi, so S+_i w phi is the sum of [lam]^i over
     # lam != 0 times w phi: 0 for 0 < i < q-1, which lets the exchange route
     # drop the w phi part of S_0 phi; q-1 at i = q-1, and q at i = 0, where
     # lam = 0 adds the identity (q vanishes mod p, -1 does not)
@@ -247,7 +255,7 @@ def test_upper_operator_kills_w_phi(params):
     for work in (params, params.residue):
         for _ in range(2):
             module = PSModule(make_char(rng.randrange(q - 1), rng.randrange(q - 1), work), work)
-            wphi = {1: witt_one(work)}
+            wphi = {GL2_W: witt_one(work)}
             for i in range(q):
                 total = {0: q, q - 1: q - 1}.get(i, 0)
                 want = scale_vector(wphi, witt_from_int(total, work), work)
@@ -256,9 +264,9 @@ def test_upper_operator_kills_w_phi(params):
 
 @pytest.mark.parametrize("params", [P7, P7F2, P11F2], ids=["q7", "q49", "q121"])
 def test_chart_vectors_match_generic_action(params):
-    # the route on U- and w against term-by-term ps_act, at the working N and
-    # mod p; indices include the degenerate target i = m1 - m2 when it lies
-    # in (0, q-1)
+    # the route on U- and w against the generic ps_act, in the same basis,
+    # at the working N and mod p; indices include the degenerate target
+    # i = m1 - m2 when it lies in (0, q-1)
     rng = random.Random(params.q)
     vrng = random.Random(params.q + 1)
     q = params.q
@@ -266,26 +274,25 @@ def test_chart_vectors_match_generic_action(params):
         for _ in range(3):
             chi = make_char(rng.randrange(q - 1), rng.randrange(q - 1), work)
             module = PSModule(chi, work)
-            phi = {0: witt_one(module.params)}
+            phi = {GL2_ID: witt_one(module.params)}
             s0phi = ps_act(module, s_by_oracle(0, work), phi)
             for i in sorted({chi.a_exponent(), rng.randrange(1, q - 1)} - {0}):
                 want = (
                     ps_act(module, s_by_oracle(i, work), s0phi),
                     ps_act(module, s_operator(q - 1 - i, work), phi),
                 )
-                got = tuple(ps_act(module, y, phi) for y in exchange_vectors(module, i))
-                assert got == want, (work.N, chi, i)
+                assert exchange_vectors(module, i) == want, (work.N, chi, i)
             # the monomial w-map on a random element of U- and w, with one
-            # zero coefficient
+            # zero coefficient; the identity acts on it as itself
             keys = [GL2_W] + [(1, 0, mu, 1) for mu in range(q)]
             x = {
                 g: tuple(vrng.randrange(work.pN) for _ in range(work.f))
                 for g in vrng.sample(keys, (q + 1) // 2)
             }
             x[vrng.choice(list(x))] = (0,) * work.f
-            assert ps_act(module, _w_map(module, x), phi) == ps_act(
-                module, GL2_W, ps_act(module, x, phi)
-            ), (work.N, chi)
+            assert _w_map(module, x) == ps_act(module, GL2_W, x), (work.N, chi)
+            y = {g: c for g, c in x.items() if any(c)}
+            assert ps_act(module, GL2_ID, y) == y, (work.N, chi)
 
 
 @pytest.mark.parametrize("params", [P7, P7F2, P11F2], ids=["q7", "q49", "q121"])
@@ -345,8 +352,8 @@ def test_exchange_proportionality_check_bites(monkeypatch):
     ids=["q49", "q343"],
 )
 def test_exchange_check_bites_at_a_degenerate_step(monkeypatch, kind, r, alpha_prime, params):
-    # p added to a U- coordinate of u away from u-(1) vanishes mod p, so only
-    # a check at the working N sees it; the w phi coordinate is left alone
+    # p added to a U- coordinate of u away from u-(1), or to the w phi
+    # coordinate d, vanishes mod p, so only a check at the working N sees it
     rho = make_rho(kind, r, 1, params, alpha_prime=alpha_prime)
     cycle = next(c for c in cycles_of(rho) if any(c.degenerate))
     t = cycle.degenerate.index(True)
@@ -370,6 +377,21 @@ def test_exchange_check_bites_at_a_degenerate_step(monkeypatch, kind, r, alpha_p
     with pytest.raises(ExchangeError, match="not proportional"):
         breuil_constant(cycle, rho, "stepwise", params)
 
+    def d_off_by_p(module, i):
+        u, w = vectors(module, i)
+        if module.chi.times_alpha(-i) == module.chi.swap():
+            # d = (-1)^m1 (q-1) at a degenerate step
+            m1, work = module.chi.m1, module.params
+            assert u[GL2_W] == witt_from_int((-1) ** m1 * (work.q - 1), work)
+            u = {**u, GL2_W: witt_add(u[GL2_W], witt_from_int(work.p, work), work)}
+        return u, w
+
+    monkeypatch.setattr(principal_series, "exchange_vectors", d_off_by_p)
+    with pytest.raises(ExchangeError, match="w phi"):
+        exchange_coefficient(chi, i_psi, params)
+    with pytest.raises(ExchangeError, match="w phi"):
+        breuil_constant(cycle, rho, "stepwise", params)
+
 
 def test_exchange_refuses_w_phi_at_a_nondegenerate_step(monkeypatch):
     psi_s = make_char(10, 2, P7F2)
@@ -386,42 +408,37 @@ def test_exchange_refuses_w_phi_at_a_nondegenerate_step(monkeypatch):
             exchange(psi_s, 5, P7F2)
 
 
-# ------------------------------------------------ the packed ps_act oracle
+# ------------------------------------------------ the generic ps_act oracle
 
 def _ps_act_ref(module, x, v):
-    """ps_act with witt_mul and witt_add per term: the reference for its
-    packed sums, reduced once per label."""
+    """ps_act term by term: each product by gl2_mul, split by Bruhat, its
+    character value by pow_code, and one witt_mul and witt_add per term."""
     params = module.params
     if isinstance(x, tuple):
         x = {x: witt_one(params)}
     T = _tables.tables_for(params)
     teich = _tables.teich_by_code(params)
-    q, mul, add, neg, inv = T.q, T.mul, T.add, T.neg, T.inv
+    q, mul, inv = T.q, T.mul, T.inv
     m1, m2 = module.chi.m1, module.chi.m2
     out = {}
     for h, hcoef in x.items():
-        e, f2, g2, h2 = gl2_inv(h, params)
-        for label, c in v.items():
-            if label == 0:
-                m00, m01, m10, m11 = e, f2, g2, h2
-            else:
-                lam = label - 1
-                m00, m01 = g2, h2
-                m10 = add[e * q + mul[lam * q + g2]]
-                m11 = add[f2 * q + mul[lam * q + h2]]
-            if m10 == 0:
-                lbl = 0
-                d1, d2 = m00, m11
-            else:
-                lbl = 1 + mul[m11 * q + inv[m10]]
-                det = add[mul[m00 * q + m11] * q + neg[mul[m01 * q + m10]]]
-                d1 = mul[neg[det] * q + inv[m10]]
-                d2 = m10
-            scal = teich[mul[T.pow_code(d1, -m1) * q + T.pow_code(d2, -m2)]]
-            w = witt_mul(witt_mul(c, scal, params), hcoef, params)
-            prev = out.get(lbl)
-            out[lbl] = witt_add(prev, w, params) if prev else w
-    return {lbl: c for lbl, c in out.items() if any(c)}
+        for g, c in v.items():
+            hg = gl2_mul(h, g, params)
+            a, b, cc = hg[:3]
+            if a:  # u-(c/a) (a b; 0 det/a)
+                key = (1, 0, mul[cc * q + inv[a]], 1)
+                d1, d2 = a, mul[gl2_det(hg, params) * q + inv[a]]
+            else:  # w (c d; 0 b)
+                key, d1, d2 = GL2_W, cc, b
+            scal = teich[mul[T.pow_code(d1, m1) * q + T.pow_code(d2, m2)]]
+            w = witt_mul(witt_mul(c, hcoef, params), scal, params)
+            prev = out.get(key)
+            out[key] = witt_add(prev, w, params) if prev else w
+    return {key: c for key, c in out.items() if any(c)}
+
+
+def _basis(params):
+    return [GL2_W] + [(1, 0, mu, 1) for mu in range(params.q)]
 
 
 _ORACLE_FIELDS = pytest.mark.parametrize("params", [P7, P7F2], ids=["q7", "q49"])
@@ -437,7 +454,7 @@ def test_ps_act_matches_reference_dense(params, seed):
     def coeff():
         return tuple(rng.randrange(params.pN) for _ in range(params.f))
 
-    v = {lbl: coeff() for lbl in range(q + 1)}
+    v = {g: coeff() for g in _basis(params)}
     for _ in range(5):
         g = random_gl2(rng, params)
         assert ps_act(module, g, v) == _ps_act_ref(module, g, v)
@@ -447,12 +464,12 @@ def test_ps_act_matches_reference_dense(params, seed):
 
 
 def test_ps_act_reads_each_scalar_with_one_lookup(monkeypatch):
-    # chi(b)^(-1) is read at the exponent -(m1 dlog d1 + m2 dlog d2): one
-    # lookup per term pair, no pow_code call
+    # chi(b) is read at the exponent (m1 - m2) dlog a + m2 dlog det, or
+    # m1 dlog c + m2 dlog b off the big cell: one lookup per key, no
+    # pow_code call
     rng = random.Random(4903)
-    q = P7F2.q
     module = PSModule(make_char(10, 3, P7F2), P7F2)
-    v = {lbl: tuple(rng.randrange(P7F2.pN) for _ in range(2)) for lbl in range(q + 1)}
+    v = {g: tuple(rng.randrange(P7F2.pN) for _ in range(2)) for g in _basis(P7F2)}
     x = {random_gl2(rng, P7F2): witt_one(P7F2) for _ in range(10)}
     x.update(s_by_oracle(5, P7F2))
     want = _ps_act_ref(module, x, v)
@@ -464,15 +481,15 @@ def test_ps_act_reads_each_scalar_with_one_lookup(monkeypatch):
 
 @_ORACLE_FIELDS
 def test_ps_act_extreme_coefficients(params):
-    # the central elements z I with z a non-square act on every label by
-    # [z]^(m1+m2) = [-1]; with every coefficient p^N - 1 each label collects
-    # |x| = (q-1)/2 terms, which reach the slot bound at f = 1
+    # the central elements z I with z a non-square act on every basis
+    # vector by [z]^(m1+m2) = [-1]; with every coefficient p^N - 1 each
+    # basis vector collects |x| = (q-1)/2 terms
     q = params.q
     T = _tables.tables_for(params)
     module = PSModule(make_char(1, (q - 1) // 2 - 1, params), params)
     top = (params.pN - 1,) * params.f
     x = {(T.exp[k], 0, 0, T.exp[k]): top for k in range(1, q - 1, 2)}
-    v = {lbl: top for lbl in range(q + 1)}
+    v = {g: top for g in _basis(params)}
     got = ps_act(module, x, v)
     assert got == _ps_act_ref(module, x, v)
     assert len(got) == q + 1
@@ -487,7 +504,7 @@ def test_ps_act_reads_coefficients_mod_pN(params):
     def coeff():
         return tuple(rng.randrange(-3 * m, 3 * m) for _ in range(params.f))
 
-    v = {lbl: coeff() for lbl in range(q + 1)}
+    v = {g: coeff() for g in _basis(params)}
     x = {random_gl2(rng, params): coeff() for _ in range(20)}
     got = ps_act(module, x, v)
     assert got == _ps_act_ref(module, x, v)
