@@ -12,7 +12,10 @@ zech[k] = dlog(1 - g^k) (zech[0] = -1, since 1 - g^0 = 0) gives 1 - alpha
 as an exponent.  A product is an exponent sum, so Jacobi sums and the
 monomial maps of the principal series need nothing else.  The q x q arrays
 mul and add serve only the GL2 oracle (gl2_mul, ga_multiply and the
-Bruhat projection of ps_act); they are built on first read.
+Bruhat projection of ps_act); they are built on first read from the O(q)
+tables, with no ring call per pair.  mul[a, b] is g^(dlog a + dlog b).  For
+a, b != 0, c = -b/a = g^k with k = dlog(-1) + dlog b - dlog a, so
+a + b = a (1 - c): 0 when k = 0, and g^(dlog a + zech[k]) otherwise.
 
 Tables depend only on (p, f, modulus) except for the Teichmuller column,
 which also depends on N; the two caches are split so precision escalation
@@ -26,7 +29,8 @@ from wittcycle import padic
 
 # Largest q whose tables are built.  The O(q) tables would allow far more;
 # the limit bounds the oracle's mul and add, two q x q arrays of 8-byte
-# codes, 16 q^2 bytes: 92 MB at q = 2401 = 7^4 and at most 256 MiB below it.
+# codes read off exp, dlog and zech, 16 q^2 bytes: 92 MB at q = 2401 = 7^4
+# and at most 256 MiB below it.
 MAX_TABLE_Q = 4096
 
 
@@ -93,12 +97,20 @@ class FieldTables:
 
     @property
     def add(self):
-        """The q x q sum table, add[a * q + b], built on first read."""
+        """The q x q sum table, add[a * q + b], built on first read from exp,
+        dlog and zech (module docstring)."""
         if self._add is None:
-            elems, code_of, residue = self.elems, self.code_of, self.residue
-            add = array("l", [])
-            for ea in elems:
-                add.extend([code_of[padic.witt_add(ea, eb, residue)] for eb in elems])
+            q, m, dl = self.q, self.q - 1, list(self.dlog)
+            # exp3[e] for e < 2m is g^e; exp3[e] for 2m <= e < 3m is 0, the
+            # sum at k = 0 mod m, which zech2 sends there as its entry 2m
+            exp3 = list(self.exp) * 2 + [0] * m
+            zech2 = [2 * m if z < 0 else z for z in self.zech] * 2
+            neg1 = dl[self.neg[1]]
+            add = array("l", range(q))
+            for a in range(1, q):
+                da = dl[a]
+                s = (neg1 - da) % m
+                add.extend([a] + [exp3[da + zech2[s + dl[b]]] for b in range(1, q)])
             self._add = add
         return self._add
 

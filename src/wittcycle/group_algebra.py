@@ -19,6 +19,12 @@ an additive convolution over (Z/p)^f by Kronecker substitution.  Each
 operand is packed into one integer, one slot per (field digit vector,
 t-degree), each slot wide enough in decimal digits for the bound
 q f (p^N-1)^2 on a product coefficient, so no slot carries into the next.
+The digit vector d of code lam = sum d_i p^i sits in cell sum d_i (2p-1)^i,
+room for a digit sum, so most cells of an operand are padding.  The pack
+never touches them: the q f coefficients fill one cached format string
+by one % call, each run of p codes that differ only in digit 0 is parsed
+as its own Decimal, and the runs are shifted into their cells and added,
+digit 1 before digit 2, the fold below run backwards.
 The integer is a decimal.Decimal, so the one big multiply runs on
 libmpdec's number-theoretic transform, in a context that raises on any
 rounding.  Field digits are folded mod p on the product itself, in the
@@ -35,8 +41,11 @@ generic GL2 product, stays as the oracle the kernel is checked against.
 scale_vector multiplies a vector by a scalar column by column too, in one
 padic.witt_mul_columns call.
 
-ga_multiply runs through every term pair, its key through the q x q mul and
-add tables, and sums lazily: each coefficient is packed in t as one integer
+ga_multiply runs through every term pair and sums lazily.  A key is found
+column by column, since g h = [g h_1 | g h_2]: the distinct columns of y
+are listed once, each key g of x maps every one of them through the q x q
+mul and add tables, and a pair only assembles its key from the images of
+its two columns.  Each coefficient is packed in t as one integer
 (padic.witt_pack), a pair costs one integer product, and the exact sum over
 Z is reduced by the modulus and mod p^N once per output key
 (padic.witt_unpack).  That reduction is a ring homomorphism, so the result
@@ -104,47 +113,47 @@ def s_operator(i, params):
     T = _tables.tables_for(params)
     exp, dlog = T.exp, T.dlog
     teich = _tables.teich_by_code(params)
+    keys = _u_keys(q)
     # [lambda]^i = [g^(dlog(lambda) i)] over F_q, with [0]^0 = 1 (dlog[0] i
     # = 0 at i = 0): index 0 adds lambda = 0, the identity, to index q-1
-    return {
-        (1, 0, lam, 1): teich[exp[dlog[lam] * i % (q - 1)]] for lam in range(0 if i == 0 else 1, q)
-    }
+    return {keys[lam]: teich[exp[dlog[lam] * i % (q - 1)]] for lam in range(0 if i == 0 else 1, q)}
+
+
+@lru_cache(maxsize=None)
+def _u_keys(q):
+    """The keys u-(lam) = (1, 0, lam, 1), by code: one tuple per field."""
+    return tuple((1, 0, lam, 1) for lam in range(q))
 
 
 def ga_multiply(x, y, params):
     """Convolution product, computed term by term and reduced once per key."""
     T = _tables.tables_for(params)
     q, mul, add = T.q, T.mul, T.add
+    qq = q * q
     width = (min(len(x), len(y)) * params.f * (params.pN - 1) ** 2).bit_length()
-    ys = [(h, witt_pack(ch, width, params)) for h, ch in y.items()]
+    # y's distinct columns, and each key of y as the indices of its two
+    cols, pairs, ys = {}, [], []
+    for (e, f, g2, h2), ch in y.items():
+        pairs.append((cols.setdefault((e, g2), len(cols)), cols.setdefault((f, h2), len(cols))))
+        ys.append(witt_pack(ch, width, params))
     acc = {}
     for (a, b, c, d), cg in x.items():
-        aq, bq, cq, dq = a * q, b * q, c * q, d * q
+        # g h = [g h_1 | g h_2]: the image (a e + b g2, c e + d g2) of every
+        # column, coded top q + bottom; a product key is image_1 q^2 + image_2
+        ra, rb, rc, rd = (mul[r * q : r * q + q].tolist() for r in (a, b, c, d))
+        imgs = [add[ra[e] * q + rb[g2]] * q + add[rc[e] * q + rd[g2]] for e, g2 in cols]
         cg = witt_pack(cg, width, params)
-        for (e, f, g2, h2), ch in ys:
-            key = (
-                add[mul[aq + e] * q + mul[bq + g2]],
-                add[mul[aq + f] * q + mul[bq + h2]],
-                add[mul[cq + e] * q + mul[dq + g2]],
-                add[mul[cq + f] * q + mul[dq + h2]],
-            )
+        for (i, j), ch in zip(pairs, ys):
+            key = imgs[i] * qq + imgs[j]
             acc[key] = acc.get(key, 0) + cg * ch
     out = {}
     for key, s in acc.items():
         w = witt_unpack(s, width, 2 * params.f - 2, params)
         if any(w):
-            out[key] = w
+            img1, img2 = divmod(key, qq)
+            (a, c), (b, d) = divmod(img1, q), divmod(img2, q)
+            out[(a, b, c, d)] = w
     return out
-
-
-@lru_cache(maxsize=None)
-def _cells(p, f):
-    """cells[code]: the field digits of code read in base 2p-1, room for a
-    digit sum; a packed operand puts a code's coefficients in that cell."""
-    return [
-        sum(d * (2 * p - 1) ** i for i, d in enumerate(digits(code, p, f)))
-        for code in range(p**f)
-    ]
 
 
 # the multiply and the fold run on integral Decimals and must stay exact: a
@@ -156,17 +165,39 @@ _EXACT = decimal.Context(
 )
 
 
-def _pack(x, cells, width, params):
-    """One Decimal whose base-10^width digits are x's coefficients: cell
-    cells[lam] holds 2f-1 slots, the coefficient of t^k in slot k."""
-    f, pN = params.f, params.pN
-    zero = "0" * ((2 * f - 1) * width)
-    cell = zero[: (f - 1) * width] + "%%0%dd" % width * f
-    out = [zero] * (max(cells[g[2]] for g in x) + 1)
+@lru_cache(maxsize=None)
+def _pack_format(q, f, width):
+    """The text of a packed run of q codes, highest code first: per code
+    f - 1 zero slots, then its t^(f-1), ..., t^0 coefficients."""
+    return ("0" * ((f - 1) * width) + "%%0%dd" % width * f) * q
+
+
+def _pack(x, width, params):
+    """One Decimal whose base-10^width digits are x's coefficients: code
+    lam = sum d_i p^i in cell sum d_i (2p-1)^i of 2f-1 slots, the
+    coefficient of t^k in slot k, the layout _fold_blocks folds (module
+    docstring)."""
+    p, f, q, pN = params.p, params.f, params.q, params.pN
+    coeffs = [0] * (q * f)
     for g, coeff in x.items():
-        out[cells[g[2]]] = cell % (*map(pN.__rmod__, reversed(coeff)),)
-    out.reverse()
-    return decimal.Decimal("".join(out))
+        coeffs[g[2] * f : g[2] * f + f] = coeff
+    text = _pack_format(q, f, width) % (*map(pN.__rmod__, reversed(coeffs)),)
+    n = (2 * f - 1) * width  # the digits of one cell
+    run = p * n
+    # the runs of p codes that share digits 1, ..., f-1, highest first
+    parts = [decimal.Decimal(text[i : i + run]) for i in range(0, len(text), run)]
+    shift, add = _EXACT.shift, _EXACT.add
+    # digit i steps by (2p-1)^i cells: join p parts per digit, digit 1 first
+    block = n * (2 * p - 1)
+    while len(parts) > 1:
+        joined = []
+        for i in range(0, len(parts), p):
+            acc = parts[i]
+            for part in parts[i + 1 : i + p]:
+                acc = add(shift(acc, block), part)
+            joined.append(acc)
+        parts, block = joined, block * (2 * p - 1)
+    return parts[0]
 
 
 def _fold_blocks(x, d, n, p):
@@ -202,24 +233,20 @@ def u_convolve(x, y, params):
     if not x or not y:
         return {}
     p, f, q, T = params.p, params.f, params.q, 2 * params.f - 1
-    cells = _cells(p, f)
     # a product slot sums at most q*f products of two coefficients < p^N
     width = len(str(q * f * (params.pN - 1) ** 2))
     # no name holds the product, so it is freed as its digits are folded;
     # slot k + T*code of the folded number is the coefficient of t^k at code
     folded = _fold_blocks(
-        _EXACT.multiply(_pack(x, cells, width, params), _pack(y, cells, width, params)),
+        _EXACT.multiply(_pack(x, width, params), _pack(y, width, params)),
         f,
         T * width,
         p,
     )
     text = format(folded, "f").encode().zfill(q * T * width)
     acc = list(map(int, struct.unpack("%ds" % width * (q * T), text)))[::-1]
-    out = {}
-    for code, w in enumerate(witt_fold_columns([acc[k::T] for k in range(T)], params)):
-        if any(w):
-            out[(1, 0, code, 1)] = w
-    return out
+    cols = witt_fold_columns([acc[k::T] for k in range(T)], params)
+    return {key: w for key, w in zip(_u_keys(q), cols) if any(w)}
 
 
 @dataclass(frozen=True)

@@ -637,6 +637,44 @@ def test_relation_check_multiplies_each_pair_once(monkeypatch):
     assert all(c["pass"] for c in checks.values())
 
 
+def _selftest_samples(monkeypatch, seed):
+    """The (i, j) of every S+_i S+_j the relation check multiplies, and
+    every tuple the contraction check contracts, at q = 49 under seed."""
+    params = Params.make(7, 2)
+    T = _tables.tables_for(params)
+    teich = _tables.teich_by_code(params)
+    # S+_i is [g]^i at u-(g), g the generator
+    index = {teich[T.exp[i]]: i for i in range(params.q - 1)}
+    at_g = (1, 0, T.generator, 1)
+    products, tuples = [], []
+
+    def product(x, y, params):
+        products.append((index[x[at_g]], index[y[at_g]]))
+        return group_algebra.u_convolve(x, y, params)
+
+    def contraction(indices, params):
+        tuples.append(tuple(indices))
+        return group_algebra.contract_splus(indices, params)
+
+    monkeypatch.setattr(cli, "u_convolve", product)
+    monkeypatch.setattr(cli, "contract_splus", contraction)
+    ns = build_parser().parse_args(["selftest", "--p", "7", "--f", "2", "--seed", str(seed)])
+    cli._selftest_relations(ns, params, full=False)
+    cli._selftest_contraction(ns, params, full=False)
+    return products, tuples
+
+
+def test_selftest_samples_follow_the_seed(monkeypatch):
+    # the report records only pass tallies, so a sampler that ignored
+    # --seed would change no digest; the sampled inputs show it
+    products, tuples = _selftest_samples(monkeypatch, 1)
+    assert len(products) == 50 + 20 and len(tuples) == 10
+    assert _selftest_samples(monkeypatch, 1) == (products, tuples)
+    other_products, other_tuples = _selftest_samples(monkeypatch, 2)
+    assert other_products != products
+    assert other_tuples != tuples
+
+
 def test_selftest_catches_a_column_fold_without_the_constant_term(monkeypatch, capsys):
     # the fold of every column product and of u_convolve, with mod[0] skipped
     fold = padic.witt_fold_columns

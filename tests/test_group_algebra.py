@@ -1,3 +1,4 @@
+import decimal
 import random
 import tracemalloc
 
@@ -22,6 +23,7 @@ from wittcycle.group_algebra import (
 )
 from wittcycle.padic import (
     Params,
+    digits,
     witt_add,
     witt_from_int,
     witt_mul,
@@ -353,6 +355,39 @@ def test_u_convolve_short_products(q, coset):
     # an operand that is 0 mod p^N packs to the number 0
     x = {_key(coset, 0): (params.pN,) * params.f}
     assert _kernel_product(coset, x, {_key("1", 0): a}, params) == {}
+
+
+def _pack_reference(x, width, params):
+    """The packed operand slot by slot, padding included: code lam in cell
+    sum d_i (2p-1)^i of its field digits d_i, and in slot k of that cell
+    its t^k coefficient mod p^N, each slot `width` decimal digits."""
+    p, f = params.p, params.f
+    W, T = 2 * p - 1, 2 * f - 1
+    slots = [0] * (W**f * T)
+    for g, coeff in x.items():
+        cell = sum(d * W**i for i, d in enumerate(digits(g[2], p, f)))
+        for k, c in enumerate(coeff):
+            slots[cell * T + k] = c % params.pN
+    return decimal.Decimal("".join("%0*d" % (width, s) for s in reversed(slots)))
+
+
+@pytest.mark.parametrize("p, f", [(7, 1), (7, 2), (7, 3), (11, 2)], ids=["q7", "q49", "q343", "q121"])
+def test_pack_matches_padded_cells(p, f):
+    params = Params.make(p, f)
+    q, m = params.q, params.pN
+    width = len(str(q * f * (m - 1) ** 2))
+    rng = random.Random(q)
+    dense = _sparse(rng, 1.0, params)
+    operands = {
+        "dense": dense,
+        "without code 0": {g: c for g, c in dense.items() if g[2]},
+        "top code only": {_key("1", q - 1): (m - 1,) * f},
+        "outside [0, p^N)": {
+            _key("1", lam): tuple(rng.randrange(-3 * m, 3 * m) for _ in range(f)) for lam in range(q)
+        },
+    }
+    for name, x in operands.items():
+        assert group_algebra._pack(x, width, params) == _pack_reference(x, width, params), name
 
 
 # tracemalloc peak of one u_convolve of the dense operands below under an

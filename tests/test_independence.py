@@ -52,7 +52,7 @@ ORACLE = ["ga_multiply", "ps_act", "gl2_mul"]
 KERNEL = {
     "u_convolve",
     "_pack",
-    "_cells",
+    "_pack_format",
     "_fold_blocks",
     "witt_fold_columns",
     "witt_mul_columns",
@@ -67,9 +67,10 @@ OPERATOR_MODULES = ("group_algebra.py", "principal_series.py")
 THREE_PIECES = {
     "u_convolve",
     "_pack",
-    "_cells",
+    "_pack_format",
     "_fold_blocks",
     "s_operator",
+    "_u_keys",
     "scale_vector",
     "_w_map",
     "exchange_vectors",
@@ -153,7 +154,11 @@ def test_oracle_reads_no_kernel():
     defs = definitions(p.read_text() for p in sorted(SRC.glob("*.py")))
     assert set(ORACLE) <= set(defs)
     assert KERNEL <= set(defs)
-    assert reached(ORACLE, defs) & KERNEL == set()
+    names = reached(ORACLE, defs)
+    # the walk passes through FieldTables, whose add table is read off the
+    # Zech column, so the check covers how the oracle's tables are built
+    assert {"FieldTables", "zech"} <= names
+    assert names & KERNEL == set()
 
 
 def test_checker_follows_reads():
