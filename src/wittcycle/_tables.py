@@ -11,11 +11,12 @@ search's own walk through the powers of g, dlog inverts it
 zech[k] = dlog(1 - g^k) (zech[0] = -1, since 1 - g^0 = 0) gives 1 - alpha
 as an exponent.  A product is an exponent sum, so Jacobi sums and the
 monomial maps of the principal series need nothing else.  The q x q arrays
-mul and add serve only the GL2 oracle (gl2_mul, ga_multiply and the
-Bruhat projection of ps_act); they are built on first read from the O(q)
-tables, with no ring call per pair.  mul[a, b] is g^(dlog a + dlog b).  For
-a, b != 0, c = -b/a = g^k with k = dlog(-1) + dlog b - dlog a, so
-a + b = a (1 - c): 0 when k = 0, and g^(dlog a + zech[k]) otherwise.
+mul and add serve only the GL2 oracle (ga_multiply and the Bruhat
+projection of ps_act), which no command runs; they are built on first read
+from the O(q) tables, with no ring call per pair.  mul[a, b] is
+g^(dlog a + dlog b).  For a, b != 0, c = -b/a = g^k with
+k = dlog(-1) + dlog b - dlog a, so a + b = a (1 - c): 0 when k = 0, and
+g^(dlog a + zech[k]) otherwise.
 
 Tables depend only on (p, f, modulus) except for the Teichmuller column,
 which also depends on N; the two caches are split so precision escalation
@@ -28,8 +29,9 @@ from functools import lru_cache
 from wittcycle import padic
 
 # Largest q whose tables are built.  The O(q) tables would allow far more;
-# the limit bounds the oracle's mul and add, two q x q arrays of 8-byte
-# codes read off exp, dlog and zech, 16 q^2 bytes: 92 MB at q = 2401 = 7^4
+# the limit keeps jacobi_sum's 64-bit exponent lanes exact, and bounds the
+# oracle's mul and add, two q x q arrays of 8-byte codes read off exp, dlog
+# and zech that only the tests build, 16 q^2 bytes: 92 MB at q = 2401 = 7^4
 # and at most 256 MiB below it.
 MAX_TABLE_Q = 4096
 

@@ -26,7 +26,6 @@ from wittcycle.group_algebra import (
     contract_splus,
     contraction_lead,
     contraction_valuation,
-    ga_multiply,
     s_operator,
     s_product_closed,
     u_convolve,
@@ -42,13 +41,6 @@ from wittcycle.padic import (
     witt_one,
     witt_pow,
     witt_reduce,
-)
-from wittcycle.principal_series import (
-    PSModule,
-    eigen_check,
-    h_component_characters,
-    h_components,
-    ps_act,
 )
 from wittcycle.weights import (
     DLType,
@@ -524,11 +516,32 @@ def _selftest_stickelberger(ns, params, full):
         (it["inputs"], all(c["pass"] for c in it["checks"])) for it in _scan(params, pairs, ns.jobs)
     )
     return _item(
-        {"pairs": len(pairs), "exhaustive": cap is None or cap >= (q - 2) * (q - 3)},
+        {
+            "pairs": len(pairs),
+            "exhaustive": cap is None or cap >= (q - 2) * (q - 3),
+            "seed": ns.seed,
+        },
         {},
         "digit-carry count and factorial unit",
         [_tally("valuation and lead", cases)],
     )
+
+
+def _frobenius_equivariant(i, j, params):
+    """Whether S+_(pi) S+_(pj) at u-(mu) equals S+_i S+_j at u-(mu^p) for
+    every mu, indices mod q-1.  [lam]^p = [lam^p] and lam -> lam^p permutes
+    F_q, so sum_lam [lam]^(pi) [mu-lam]^(pj) = sum_lam [lam^p]^i [mu^p-lam^p]^j:
+    two kernel products, with mu^p read off exp and dlog and no Jacobi sum.
+    In the polynomial basis mu -> mu^p mixes the field digits the kernel
+    folds separately."""
+    q, p = params.q, params.p
+    T = tables_for(params)
+    frob = [0] + [T.exp[T.dlog[mu] * p % (q - 1)] for mu in range(1, q)]
+    lifted = u_convolve(
+        s_operator(p * i % (q - 1), params), s_operator(p * j % (q - 1), params), params
+    )
+    want = u_convolve(s_operator(i, params), s_operator(j, params), params)
+    return {(1, 0, frob[key[2]], 1): c for key, c in lifted.items()} == want
 
 
 def _selftest_relations(ns, params, full):
@@ -539,6 +552,10 @@ def _selftest_relations(ns, params, full):
     else:
         n = 300 if full else 50
         pairs = [(rng.randrange(1, q - 1), rng.randrange(1, q - 1)) for _ in range(n)]
+    # Frobenius fixes F_p, so at f = 1 both sides of its check are one product
+    frobenius = [
+        (rng.randrange(1, q - 1), rng.randrange(1, q - 1)) for _ in range(20 if params.f > 1 else 0)
+    ]
 
     def relation(i, j):
         # the paper's S_i S+_j is w (S+_i S+_j), so the S+ form implies it
@@ -546,21 +563,14 @@ def _selftest_relations(ns, params, full):
         return prod == s_product_closed(i, j, params)
 
     relations = (({"i": i, "j": j}, relation(i, j)) for i, j in pairs)
-
-    def commutes():
-        i, j = rng.randrange(1, q - 1), rng.randrange(1, q - 1)
-        x, y = s_operator(i, params), s_operator(j, params)
-        # the kernel's x y against the generic GL2 product y x, so the check
-        # means more than the kernel's own commutativity
-        return u_convolve(x, y, params) == ga_multiply(y, x, params)
-
+    equivariant = (({"i": i, "j": j}, _frobenius_equivariant(i, j, params)) for i, j in frobenius)
     return _item(
-        {"pairs": len(pairs)},
+        {"pairs": len(pairs), "frobenius_pairs": frobenius, "seed": ns.seed},
         {},
         "operator product relations",
         [
             _tally("products reduce to jacobi multiples", relations),
-            _tally("s-plus family commutes", ((None, commutes()) for _ in range(20))),
+            _tally("Frobenius-equivariant S+ products", equivariant),
         ],
     )
 
@@ -577,7 +587,7 @@ def _selftest_contraction(ns, params, full):
         for t in tuples
     )
     return _item(
-        {"tuples": len(tuples)},
+        {"tuples": len(tuples), "indices": tuples, "seed": ns.seed},
         {},
         "operator contraction",
         [_tally("decomposition identities", cases)],
@@ -607,29 +617,6 @@ def _selftest_combinatorics(params):
     )
 
 
-def _selftest_ps(params):
-    if params.q > 121:
-        return None
-    chi = char_of_subset(frozenset(), make_rho("irr", (2,) * params.f, 1, params))
-    module = PSModule(chi, params)
-    mults = sorted(h_component_characters(module).values())
-    ok_mult = mults == [1] * (params.q - 3) + [2, 2]
-    comps = list(h_components(module).items())[:6]
-    s0p = s_operator(0, params)
-    eigen = ((None, eigen_check(module, vec, xi)) for xi, vecs in comps for vec in vecs)
-    kills = ((None, ps_act(module, s0p, vecs[0]) == {}) for _, vecs in comps if len(vecs) == 1)
-    return _item(
-        {"module": [chi.m1, chi.m2]},
-        {"dimension": params.q + 1},
-        "torus eigenvectors of the induced lattice",
-        [
-            _check("multiplicity profile", True, ok_mult),
-            _tally("eigen checks", eigen),
-            _tally("augmented operator kills simple components", kills),
-        ],
-    )
-
-
 def _selftest_constants(params, full):
     items = []
     stepwise_ok = params.q <= 49 or full
@@ -650,9 +637,6 @@ def _cmd_selftest(ns, params):
     items.append(_selftest_relations(ns, params, full))
     items.append(_selftest_contraction(ns, params, full))
     items.append(_selftest_combinatorics(params))
-    ps = _selftest_ps(params)
-    if ps is not None:
-        items.append(ps)
     items.extend(_selftest_constants(params, full))
     return None, items
 

@@ -37,7 +37,8 @@ by one struct call, and the t-degree columns of all q codes are reduced
 by the modulus and mod p^N a column at a time (padic.witt_fold_columns):
 no Python loop runs per slot.  This still
 multiplies out term by term, only all terms at once; ga_multiply, the
-generic GL2 product, stays as the oracle the kernel is checked against.
+generic GL2 product, stays as the oracle the tests check the kernel
+against, and no command runs it.
 scale_vector multiplies a vector by a scalar column by column too, in one
 padic.witt_mul_columns call.
 
@@ -82,19 +83,6 @@ from wittcycle.padic import (
 
 GL2_ID = (1, 0, 0, 1)
 GL2_W = (0, 1, 1, 0)  # the antidiagonal involution
-
-
-def gl2_mul(g, h, params):
-    T = _tables.tables_for(params)
-    q, mul, add = T.q, T.mul, T.add
-    a, b, c, d = g
-    e, f, g2, h2 = h
-    return (
-        add[mul[a * q + e] * q + mul[b * q + g2]],
-        add[mul[a * q + f] * q + mul[b * q + h2]],
-        add[mul[c * q + e] * q + mul[d * q + g2]],
-        add[mul[c * q + f] * q + mul[d * q + h2]],
-    )
 
 
 def scale_vector(vec, w, params):

@@ -16,7 +16,7 @@ projected back onto the basis by the Bruhat split
     a = 0:   g = w (c d; 0 b),            g phi = [c]^m1 [b]^m2 w phi,
 
 with one Teichmuller lookup and one witt_mul per key.  It is the oracle
-the exchange route is checked against.
+the tests check the exchange route against; no command runs it.
 
 The exchange route never calls ps_act: it applies its operators by the
 U- convolution and the w-map below.  S+_i phi is the kernel s_operator(i)
@@ -46,7 +46,6 @@ when i = m1 - m2 mod q-1, which is when the target chi alpha^(-i) is
 chi swapped, the character of w phi, and 0 at every other step.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 
 from wittcycle import _tables
@@ -130,58 +129,6 @@ def ps_act(module, x, v):
     return {key: coeff for key, coeff in out.items() if any(coeff)}
 
 
-def _torus_characters(module):
-    """The q+1 eigenline characters, in the order of h_components."""
-    chi = module.chi
-    return [chi, chi.swap()] + [chi.times_alpha(j) for j in range(module.params.q - 1)]
-
-
-def h_component_characters(module):
-    """The q+1 eigencharacters of the torus action, with multiplicity.
-
-    phi and w phi carry chi and chi swapped; the sum over mu != 0 of
-    [mu]^j u-(mu) phi carries chi times alpha^j.
-    """
-    return Counter(_torus_characters(module))
-
-
-def h_components(module):
-    """Eigenvectors of the torus action, grouped by character.
-
-    Returns a dict from HChar to a list of vectors.  Characters whose list
-    has length one span their eigenspace; length two means the span is the
-    full two dimensional eigenspace.
-    """
-    params = module.params
-    T = _tables.tables_for(params)
-    exp, dlog = T.exp, T.dlog
-    teich = _tables.teich_by_code(params)
-    q = params.q
-    # entry mu of vector j is [mu]^j, read off dlog as [g^(dlog(mu) j)]
-    vecs = [{GL2_ID: witt_one(params)}, {GL2_W: witt_one(params)}] + [
-        {(1, 0, mu, 1): teich[exp[dlog[mu] * j % (q - 1)]] for mu in range(1, q)}
-        for j in range(q - 1)
-    ]
-    out = {}
-    for xi, vec in zip(_torus_characters(module), vecs):
-        out.setdefault(xi, []).append(vec)
-    return out
-
-
-def eigen_check(module, vec, xi):
-    """Whether vec is an H-eigenvector with character xi, by acting with
-    the two one-parameter torus generators."""
-    params = module.params
-    T = _tables.tables_for(params)
-    teich = _tables.teich_by_code(params)
-    g = T.generator  # exp[1], so g^expo is exp[expo mod q-1]
-    for h, expo in [((g, 0, 0, 1), xi.m1), ((1, 0, 0, g), xi.m2)]:
-        scal = teich[T.exp[expo % (params.q - 1)]]
-        if ps_act(module, h, vec) != scale_vector(vec, scal, params):
-            return False
-    return True
-
-
 def _w_map(module, y):
     """w y for w = GL2_W and y on U- and w: GL2_ID and GL2_W swap, and
     u-(mu), mu != 0, goes to (-1)^m2 [mu]^(m1-m2) u-(1/mu) (module docstring)."""
@@ -242,9 +189,11 @@ def exchange_coefficient(psi_s, i_psi, params):
 def exchange_constant(psi_s, i_psi, params):
     """exchange_coefficient at a step whose target has multiplicity one.
 
-    The targets for 0 < i_psi < q-1 are simple but for psi_s swapped, which
-    h_component_characters counts twice; that degenerate case raises
-    ExchangeError.  Returns (c, i_plus, params_used).
+    The torus acts on phi and w phi by psi_s and psi_s swapped, and on the
+    sum over mu != 0 of [mu]^j u-(mu) phi by psi_s alpha^j, so the targets
+    for 0 < i_psi < q-1 are simple but for psi_s swapped, which occurs
+    twice; that degenerate case raises ExchangeError.  Returns
+    (c, i_plus, params_used).
     """
     c, used = exchange_coefficient(psi_s, i_psi, params)
     if psi_s.times_alpha(-i_psi) == psi_s.swap():

@@ -60,8 +60,6 @@ from wittcycle.principal_series import (
     PSModule,
     exchange_coefficient,
     exchange_constant,
-    h_component_characters,
-    h_components,
     make_char,
     ps_act,
 )
@@ -81,7 +79,7 @@ from wittcycle.weights import (
     subsets_of,
 )
 
-from test_group_algebra import ga_act_matrix, s_by_oracle
+from oracle import ga_act_matrix, h_component_characters, h_components, s_by_oracle
 from test_padic import witt_inv
 from test_weights import negative_set, transition_weight
 

@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import hashlib
 import json
 import os
@@ -8,7 +9,7 @@ import sys
 
 import pytest
 
-from wittcycle import _tables, cli, group_algebra, padic
+from wittcycle import _tables, cli, group_algebra, padic, principal_series
 from wittcycle.cli import (
     _pool_size,
     _scan_pairs,
@@ -388,14 +389,15 @@ def test_unresolved_valuation_is_a_failing_check(capsys, argv):
 
 # sha256 of 17 --json reports, 15 quick and two at the full level, pinned so
 # that a change meant to keep the output byte for byte is checked on every
-# test run
+# test run; the four selftest reports record their seed, Frobenius pairs and
+# contraction tuples, so they pin what was sampled too
 _REPORT_DIGESTS = [
     ("selftest --p 7 --f 2 --level full --seed 3",
-     "102e9fb37c7a2cd72f62b9f2cedd4756d8e37fa771e7c95937b2fd4934790623"),
+     "d7c4b9ce1c262145b90838f9dbad069eab542ba5698f985152ccc68cf0eba904"),
     ("selftest --p 7 --f 1 --seed 3",
-     "a4c01675c859a62c055e028899917c29459600e29029285ef240b9e9b04f992d"),
+     "dc79bfc3219b6201c552cc0f2cd9ba1511965e3d628941fb275911e413e6719b"),
     ("selftest --p 7 --f 2 --seed 1",
-     "2f9a1daf37d14f58bf3804eb45d1f83b3d4e7330812c5c0139a23035f0963804"),
+     "131ce9d2f9797b42c0897ed942f5eaac2f51d08e5056b4e36cab94dfe990241f"),
     ("contract --p 7 --f 2 --indices 5,43 --N 1",
      "3bbdc631d841b0f435912b74df64707658eb873fd58db89deaf353172828733f"),
     ("constant --p 7 --f 2 --kind red --r 2 --alpha-prime 1",
@@ -419,7 +421,7 @@ _REPORT_DIGESTS = [
      "09e5fe7b3a991eb38043f03e2df88d3a679b345f0db98228c8f7f0ac4a9998b9"),
     # the benchmark's selftest-full round at q = 121: 300 sampled relations
     ("selftest --p 11 --f 2 --level full --seed 1",
-     "2960b676e3c78ace9025d673a46709636c7859fd4acc61f016b33d8c10244ad7"),
+     "af30b5bed8818f26cfe952897cfefbbbde47d5a4c8b2d1c9f70f1cb3a5f6464d"),
     # the verbs that report cycles, weights and one Jacobi sum; the cycles
     # report lists the two excluded orbits, the jh-intersect one a 4-subset
     # interval
@@ -597,7 +599,7 @@ def test_relation_check_catches_a_wrong_s_boundary_form(monkeypatch):
         "failures": 5,
         "first": {"i": 1, "j": 5},
     }
-    assert checks["s-plus family commutes"]["pass"]
+    assert checks["Frobenius-equivariant S+ products"]["pass"]
 
 
 def test_relation_check_catches_a_perturbed_kernel_coefficient(monkeypatch):
@@ -631,15 +633,16 @@ def test_relation_check_multiplies_each_pair_once(monkeypatch):
 
     monkeypatch.setattr(cli, "u_convolve", counted)
     pairs, checks = _relation_checks(7, 2)
-    # one kernel product per sampled pair, plus the 20 commute products
+    # one kernel product per sampled pair, plus two per Frobenius pair
     assert pairs == 50
-    assert len(calls) == pairs + 20
+    assert len(calls) == pairs + 2 * 20
     assert all(c["pass"] for c in checks.values())
 
 
 def _selftest_samples(monkeypatch, seed):
     """The (i, j) of every S+_i S+_j the relation check multiplies, and
-    every tuple the contraction check contracts, at q = 49 under seed."""
+    every tuple the contraction check contracts, at q = 49 under seed; and
+    the two items' inputs."""
     params = Params.make(7, 2)
     T = _tables.tables_for(params)
     teich = _tables.teich_by_code(params)
@@ -659,20 +662,96 @@ def _selftest_samples(monkeypatch, seed):
     monkeypatch.setattr(cli, "u_convolve", product)
     monkeypatch.setattr(cli, "contract_splus", contraction)
     ns = build_parser().parse_args(["selftest", "--p", "7", "--f", "2", "--seed", str(seed)])
-    cli._selftest_relations(ns, params, full=False)
-    cli._selftest_contraction(ns, params, full=False)
-    return products, tuples
+    relations = cli._selftest_relations(ns, params, full=False)["inputs"]
+    contraction = cli._selftest_contraction(ns, params, full=False)["inputs"]
+    return products, tuples, relations, contraction
 
 
 def test_selftest_samples_follow_the_seed(monkeypatch):
-    # the report records only pass tallies, so a sampler that ignored
-    # --seed would change no digest; the sampled inputs show it
-    products, tuples = _selftest_samples(monkeypatch, 1)
-    assert len(products) == 50 + 20 and len(tuples) == 10
-    assert _selftest_samples(monkeypatch, 1) == (products, tuples)
-    other_products, other_tuples = _selftest_samples(monkeypatch, 2)
+    # the 50 relation pairs, then each Frobenius pair (i, j) as
+    # S+_(pi) S+_(pj) and S+_i S+_j; the report records the Frobenius pairs,
+    # the tuples and the seed
+    products, tuples, relations, contraction = _selftest_samples(monkeypatch, 1)
+    assert len(products) == 50 + 2 * 20 and len(tuples) == 10
+    frobenius = [list(pair) for pair in products[51::2]]
+    assert relations == {"pairs": 50, "frobenius_pairs": frobenius, "seed": 1}
+    assert contraction == {"tuples": 10, "indices": [list(t) for t in tuples], "seed": 1}
+    assert _selftest_samples(monkeypatch, 1)[:2] == (products, tuples)
+    other_products, other_tuples, _, _ = _selftest_samples(monkeypatch, 2)
     assert other_products != products
     assert other_tuples != tuples
+
+
+def test_selftest_report_follows_the_seed(capsys):
+    # the reports differ in what was sampled, not only in the seed they record
+    def inputs(seed):
+        argv = ["selftest", "--p", "7", "--f", "2", "--seed", str(seed), "--json"]
+        code, rep = _json_report(capsys, argv)
+        assert code == 0
+        return [{k: v for k, v in it["inputs"].items() if k != "seed"} for it in rep["items"]]
+
+    assert inputs(1) != inputs(2)
+
+
+def _fold_dropping_the_wrap(x, d, n, p):
+    """group_algebra._fold_blocks with the blocks of outermost digit z + p
+    dropped instead of added back onto those of digit z."""
+    ctx = group_algebra._EXACT
+    shift, add, sub = ctx.shift, ctx.add, ctx.subtract
+    b = n * (2 * p - 1) ** (d - 1)
+    high = shift(x, -p * b)
+    x = sub(x, shift(high, p * b))
+    if d == 1:
+        return x
+    out = decimal.Decimal(0)
+    for z in reversed(range(p)):
+        top = shift(x, -z * b)
+        x = sub(x, shift(top, z * b))
+        out = add(shift(out, n * p ** (d - 1)), _fold_dropping_the_wrap(top, d - 1, n, p))
+    return out
+
+
+def _plus_one_at_t(x, y, params):
+    # u-(t), t the code p, lies outside F_p: Frobenius fixes u-(0), where a
+    # wrong coefficient would stay invisible to the check
+    out = group_algebra.u_convolve(x, y, params)
+    key = (1, 0, params.p, 1)
+    out[key] = witt_add(out.get(key, (0,) * params.f), witt_one(params), params)
+    return out
+
+
+@pytest.mark.parametrize(
+    "module, name, mutant",
+    [(group_algebra, "_fold_blocks", _fold_dropping_the_wrap), (cli, "u_convolve", _plus_one_at_t)],
+    ids=["fold-drops-the-wrap", "plus-one-at-t"],
+)
+def test_frobenius_check_catches_a_wrong_kernel_at_q343(monkeypatch, module, name, mutant):
+    assert all(c["pass"] for c in _relation_checks(7, 3)[1].values())
+    monkeypatch.setattr(module, name, mutant)
+    got = _relation_checks(7, 3)[1]["Frobenius-equivariant S+ products"]["got"]
+    assert got["failures"] == 20
+
+
+def _raise(*args):
+    raise AssertionError("the GL2 oracle ran")
+
+
+def test_no_verb_runs_the_oracle(monkeypatch, capsys):
+    # the full selftest at q = 49 and the stepwise constants at (7, 2), with
+    # the generic products, the GL2 action and the q x q tables refusing
+    for name, orig in [("ga_multiply", group_algebra.ga_multiply), ("ps_act", principal_series.ps_act)]:
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("wittcycle") and getattr(mod, name, None) is orig:
+                monkeypatch.setattr(mod, name, _raise)
+    monkeypatch.setattr(_tables.FieldTables, "mul", property(_raise))
+    monkeypatch.setattr(_tables.FieldTables, "add", property(_raise))
+    pinned = dict(_REPORT_DIGESTS)
+    for argv in [
+        "selftest --p 7 --f 2 --level full --seed 3",
+        "constant --p 7 --f 2 --kind red --r 2 --alpha-prime 1",
+    ]:
+        assert main(argv.split() + ["--json"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == pinned[argv]
 
 
 def test_selftest_catches_a_column_fold_without_the_constant_term(monkeypatch, capsys):

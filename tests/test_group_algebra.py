@@ -15,7 +15,6 @@ from wittcycle.group_algebra import (
     check_contract_pre,
     contract_splus,
     ga_multiply,
-    gl2_mul,
     s_operator,
     s_product_closed,
     scale_vector,
@@ -33,25 +32,10 @@ from wittcycle.padic import (
     witt_zero,
 )
 
+from oracle import ga_act_matrix, gl2_det, gl2_mul, random_gl2, s_by_oracle
+
 P71 = Params.make(7, 1, N=5)
 P72 = Params.make(7, 2)
-
-
-def ga_act_matrix(g, x, params):
-    """Left translate of a group-algebra element by a single group element."""
-    return ga_multiply({g: (1,) + (0,) * (params.f - 1)}, x, params)
-
-
-def s_by_oracle(i, params):
-    """The paper's S_i = w S+_i, by the generic GL2 product: neither the
-    kernel nor the exchange route's w-map builds it."""
-    return ga_act_matrix(GL2_W, s_operator(i, params), params)
-
-
-def gl2_det(g, params):
-    T = tables_for(params)
-    a, b, c, d = g
-    return T.add[T.mul[a * T.q + d] * T.q + T.neg[T.mul[b * T.q + c]]]
 
 
 def test_gl2_helpers():
@@ -518,13 +502,6 @@ def _ga_multiply_ref(x, y, params):
             prev = out.get(key)
             out[key] = witt_add(prev, w, params) if prev else w
     return {k: v for k, v in out.items() if any(v)}
-
-
-def random_gl2(rng, params):
-    while True:
-        g = tuple(rng.randrange(params.q) for _ in range(4))
-        if gl2_det(g, params):
-            return g
 
 
 _ORACLE_FIELDS = pytest.mark.parametrize("params", [P71, P72], ids=["q7", "q49"])

@@ -93,10 +93,10 @@ def dead_definitions(sources):
     ]
 
 
-# read from outside the package only: gl2_mul is the generic GL2 oracle the
-# tests check the fast kernels against, and perfbench's layer tracer times
-# exchange_constant by module and name
-READ_OUTSIDE_SRC = {"exchange_constant", "gl2_mul"}
+# read from outside the package only: perfbench's layer tracer times
+# exchange_constant and ps_act, the generic action the tests check the
+# exchange route against, by module and name
+READ_OUTSIDE_SRC = {"exchange_constant", "ps_act"}
 
 
 def test_no_dead_definitions():

@@ -8,18 +8,22 @@ way stickelberger-scan checks the Teichmuller sum jacobi_sum against the
 digit counting of stickelberger_data, so the sum must not read the digit
 counting either, and the generic GL2 products ga_multiply and ps_act, the
 oracle the U- kernel is checked against, must not read the kernel, its
-packing, the column arithmetic or the exchange route's maps; nor may the
-closed forms read the kernel or the exchange route.  In group_algebra and
-principal_series the numeric route reaches only THREE_PIECES' defs.  Walks
-src/wittcycle/*.py with ast: from each root, every top-level def or class
-of the package whose name a reached body reads is followed in turn, and the
-names read along the way must miss the forbidden set.
+packing, the column arithmetic or the exchange route's maps, and neither
+may the oracle's test-only helpers in tests/oracle.py; nor may the closed
+forms read the kernel or the exchange route.  In group_algebra and
+principal_series the numeric route reaches only THREE_PIECES' defs.  The
+selftest's Frobenius check of the kernel reads neither a closed form nor
+the oracle.  Walks src/wittcycle/*.py (and tests/oracle.py for the oracle)
+with ast: from each root, every top-level def or class whose name a reached
+body reads is followed in turn, and the names read along the way must miss
+the forbidden set.
 """
 
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "wittcycle"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "wittcycle"
 CLOSED = {
     "jacobi_sum",
     "stickelberger_data",
@@ -48,7 +52,17 @@ JACOBI = [
 ]
 DIGIT_COUNTING = {"stickelberger_data", "factorial_mod_p"}
 
-ORACLE = ["ga_multiply", "ps_act", "gl2_mul"]
+# the generic products and what tests/oracle.py builds with them;
+# eigen_check compares ps_act with a scale_vector multiple, column arithmetic
+ORACLE = [
+    "ga_multiply",
+    "ps_act",
+    "gl2_mul",
+    "gl2_det",
+    "s_by_oracle",
+    "h_components",
+    "h_component_characters",
+]
 KERNEL = {
     "u_convolve",
     "_pack",
@@ -151,7 +165,8 @@ def test_closed_forms_read_no_kernel():
 
 
 def test_oracle_reads_no_kernel():
-    defs = definitions(p.read_text() for p in sorted(SRC.glob("*.py")))
+    texts = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    defs = definitions(texts + [(TESTS / "oracle.py").read_text()])
     assert set(ORACLE) <= set(defs)
     assert KERNEL <= set(defs)
     names = reached(ORACLE, defs)
@@ -159,6 +174,16 @@ def test_oracle_reads_no_kernel():
     # Zech column, so the check covers how the oracle's tables are built
     assert {"FieldTables", "zech"} <= names
     assert names & KERNEL == set()
+
+
+def test_frobenius_check_reads_no_closed_form_and_no_oracle():
+    # the selftest's large-q kernel check besides the closed forms: two
+    # kernel products and the exp and dlog columns, nothing else
+    defs = definitions(p.read_text() for p in sorted(SRC.glob("*.py")))
+    assert "_frobenius_equivariant" in defs
+    names = reached(["_frobenius_equivariant"], defs)
+    assert "u_convolve" in names
+    assert names & (CLOSED | set(ORACLE)) == set()
 
 
 def test_checker_follows_reads():

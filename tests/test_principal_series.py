@@ -4,7 +4,7 @@ import pytest
 
 from wittcycle import _tables, principal_series
 from wittcycle.constants import breuil_constant
-from wittcycle.group_algebra import GL2_ID, GL2_W, gl2_mul, s_operator, scale_vector
+from wittcycle.group_algebra import GL2_ID, GL2_W, s_operator, scale_vector
 from wittcycle.jacobi import jacobi_sum
 from wittcycle.padic import (
     Params,
@@ -20,18 +20,23 @@ from wittcycle.principal_series import (
     ExchangeError,
     _w_map,
     PSModule,
-    eigen_check,
     exchange_coefficient,
     exchange_constant,
     exchange_vectors,
-    h_component_characters,
-    h_components,
     make_char,
     ps_act,
 )
 from wittcycle.weights import cycles_of, make_rho
 
-from test_group_algebra import gl2_det, random_gl2, s_by_oracle
+from oracle import (
+    eigen_check,
+    gl2_det,
+    gl2_mul,
+    h_component_characters,
+    h_components,
+    random_gl2,
+    s_by_oracle,
+)
 
 P7 = Params.make(7, 1)
 P7F2 = Params.make(7, 2)
