@@ -138,9 +138,9 @@ def tables_for(params):
 
 
 @lru_cache(maxsize=None)
-def _teich_by_code_key(p, f, modulus, N):
-    params = padic.Params(p, f, N, modulus)
-    T = field_tables(p, f, modulus)
+def teich_by_code(params):
+    """Teichmuller lift for every field code, computed as powers of [g]."""
+    T = tables_for(params)
     q = params.q
     out = [None] * q
     out[0] = padic.witt_zero(params)
@@ -151,8 +151,3 @@ def _teich_by_code_key(p, f, modulus, N):
         cur = padic.witt_mul(cur, tg, params)
         out[T.exp[k]] = cur
     return out
-
-
-def teich_by_code(params):
-    """Teichmuller lift for every field code, computed as powers of [g]."""
-    return _teich_by_code_key(params.p, params.f, params.modulus, params.N)

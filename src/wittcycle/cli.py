@@ -223,19 +223,30 @@ def _scan_pair_at(pos, q):
     return (a, b + 1 if b >= q - 1 - a else b)
 
 
+# the most items one scan builds: each is held, at about 2 KiB, until the
+# report is written, so 2^20 of them stay near 2 GiB
+MAX_SCAN_ITEMS = 1 << 20
+
+
 def _scan_pairs(params, limit, rng):
     """All admissible pairs in order, or a sorted sample of `limit` of them.
 
     Positions are sampled from the population size alone and decoded, so no
     list of all (q-2)(q-3) pairs is built; random.sample draws from the
-    length only, so the sample equals that of the list.
+    length only, so the sample equals that of the list.  A scan of more than
+    MAX_SCAN_ITEMS pairs is refused before any is listed.
     """
     q = params.q
     n = (q - 2) * (q - 3)
-    if limit is None or limit >= n:
+    count = n if limit is None else min(limit, n)
+    if count > MAX_SCAN_ITEMS:
+        raise ValueError(
+            "a scan of %d pairs is above %d: pass a smaller --limit" % (count, MAX_SCAN_ITEMS)
+        )
+    if count == n:
         positions = range(n)
     else:
-        positions = sorted(rng.sample(range(n), limit))
+        positions = sorted(rng.sample(range(n), count))
     return [_scan_pair_at(pos, q) for pos in positions]
 
 
@@ -815,8 +826,12 @@ def main(argv=None):
         return 2
     text = canonical_json(report.to_json_obj()) if ns.json else _render_text(report)
     if ns.out:
-        with open(ns.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(ns.out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            print("error: cannot write %s: %s" % (ns.out, e.strerror), file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if report.summary["fail"] == 0 else 1

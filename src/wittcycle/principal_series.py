@@ -1,12 +1,15 @@
 """Induction to GL2(F_q) of a diagonal character, over W(F_q)/p^N.
 
-A diagonal character is a pair (m1, m2) of exponents mod q-1; phi is the
-function supported on the upper triangular Borel with phi(1) = 1, on which
-b = (a x; 0 d) acts by chi(b) = [a]^m1 [d]^m2.  By the Bruhat decomposition
-the q+1 vectors u-(mu) phi, mu in F_q, with u-(mu) = (1 0; mu 1), and
-w phi, w = GL2_W the antidiagonal involution, are a basis of the module.
-A vector is a group-algebra element y supported on U- and w, with zero
-coefficients dropped, standing for y phi: phi = u-(0) phi is GL2_ID.
+The character chi = (m1, m2), a weights.HChar, comes from the caller;
+this module reads only its fields, its swap and its times_alpha.  phi is
+the function supported on the upper triangular Borel with phi(1) = 1,
+on which b = (a x; 0 d) acts by chi(b) = [a]^m1 [d]^m2.  By the Bruhat
+decomposition the q+1 vectors u-(mu) phi, mu in F_q, with
+u-(mu) = (1 0; mu 1), and w phi, w = GL2_W the antidiagonal involution,
+are a basis of the module.  A vector is a group-algebra element y
+supported on U- and w, with zero coefficients dropped, standing for
+y phi: phi = u-(0) phi is GL2_ID.  Each function takes chi first and the
+params last.
 
 ps_act, the action of any group element or group-algebra element x, is
 the GL2 product x y (group_algebra.ga_multiply), each key g = (a b; c d)
@@ -46,8 +49,6 @@ when i = m1 - m2 mod q-1, which is when the target chi alpha^(-i) is
 chi swapped, the character of w phi, and 0 at every other step.
 """
 
-from dataclasses import dataclass
-
 from wittcycle import _tables
 from wittcycle.group_algebra import GL2_ID, GL2_W, ga_multiply, s_operator, scale_vector, u_convolve
 from wittcycle.padic import (
@@ -66,53 +67,17 @@ class ExchangeError(ArithmeticError):
     degenerate step (target character of multiplicity two)."""
 
 
-@dataclass(frozen=True)
-class HChar:
-    """A character of the diagonal torus, exponent pair mod q-1."""
-
-    m1: int
-    m2: int
-    qm1: int
-
-    def swap(self):
-        return HChar(self.m2, self.m1, self.qm1)
-
-    def times_alpha(self, n):
-        m = self.qm1
-        return HChar((self.m1 + n) % m, (self.m2 - n) % m, self.qm1)
-
-    def a_exponent(self):
-        """The r with self = (self swapped) times alpha^r."""
-        return (self.m1 - self.m2) % self.qm1
-
-
-def make_char(m1, m2, params):
-    m = params.q - 1
-    return HChar(m1 % m, m2 % m, m)
-
-
-@dataclass(frozen=True)
-class PSModule:
-    """The induced module determined by a diagonal character."""
-
-    chi: HChar
-    params: object
-
-    def __post_init__(self):
-        if self.chi.qm1 != self.params.q - 1:
-            raise ValueError("character does not match the field size")
-
-
-def ps_act(module, x, v):
+def ps_act(chi, x, v, params):
     """Act on a vector by a group element (4-tuple) or group-algebra element:
     the product x v, each key projected onto u-(mu) phi or w phi."""
-    params = module.params
+    if chi.qm1 != params.q - 1:
+        raise ValueError("character does not match the field size")
     if isinstance(x, tuple):
         x = {x: witt_one(params)}
     T = _tables.tables_for(params)
     q, mul, add, neg, inv, exp, dlog = T.q, T.mul, T.add, T.neg, T.inv, T.exp, T.dlog
     teich = _tables.teich_by_code(params)
-    m1, m2 = module.chi.m1, module.chi.m2
+    m1, m2 = chi.m1, chi.m2
     out = {}
     for (a, b, c, d), coeff in ga_multiply(x, v, params).items():
         det = add[mul[a * q + d] * q + neg[mul[b * q + c]]]
@@ -129,16 +94,15 @@ def ps_act(module, x, v):
     return {key: coeff for key, coeff in out.items() if any(coeff)}
 
 
-def _w_map(module, y):
+def _w_map(chi, y, params):
     """w y for w = GL2_W and y on U- and w: GL2_ID and GL2_W swap, and
     u-(mu), mu != 0, goes to (-1)^m2 [mu]^(m1-m2) u-(1/mu) (module docstring)."""
-    params = module.params
     T = _tables.tables_for(params)
     exp, dlog, inv = T.exp, T.dlog, T.inv
     teich = _tables.teich_by_code(params)
     m = params.q - 1
-    d = module.chi.m1 - module.chi.m2
-    sign = dlog[T.neg[1]] * module.chi.m2
+    d = chi.m1 - chi.m2
+    sign = dlog[T.neg[1]] * chi.m2
     out, mus, cs = {}, [], []
     for g, c in y.items():
         if g == GL2_W:
@@ -159,13 +123,14 @@ def _w_map(module, y):
     return out
 
 
-def exchange_vectors(module, i_psi):
+def exchange_vectors(chi, i_psi, params):
     """S_{i_psi} S_0 phi = w S+_{i_psi} w S+_{q-1} phi and S+_{q-1-i_psi} phi,
     each as the element y on U- and w that stands for y phi (module
     docstring), for 0 < i_psi < q-1: one u_convolve and two O(q) w-maps."""
-    params = module.params
-    s0_less_w = _w_map(module, s_operator(params.q - 1, params))  # S_0 phi - w phi
-    u = _w_map(module, u_convolve(s0_less_w, s_operator(i_psi, params), params))
+    if chi.qm1 != params.q - 1:
+        raise ValueError("character does not match the field size")
+    s0_less_w = _w_map(chi, s_operator(params.q - 1, params), params)  # S_0 phi - w phi
+    u = _w_map(chi, u_convolve(s0_less_w, s_operator(i_psi, params), params), params)
     return u, s_operator(params.q - 1 - i_psi, params)
 
 
@@ -202,7 +167,7 @@ def exchange_constant(psi_s, i_psi, params):
 
 
 def _exchange_once(psi_s, i_psi, params):
-    u, w = exchange_vectors(PSModule(psi_s, params), i_psi)
+    u, w = exchange_vectors(psi_s, i_psi, params)
     # w = S+_{i_plus} has the Teichmuller unit [mu]^i_plus at u-(mu), and 1 at
     # u-(1), so c is u's coefficient there if u's U- part is proportional to w
     u_minus = dict(u)

@@ -13,7 +13,6 @@ Subsets are frozensets of residues mod f.  A formal weight is a tuple of
 from dataclasses import dataclass
 
 from wittcycle.padic import witt_from_int
-from wittcycle.principal_series import make_char
 
 REDUCIBLE = "reducible-split"
 IRREDUCIBLE = "irreducible"
@@ -173,6 +172,31 @@ def serre_weight_of(fw, rho):
             raise ValueError("weight entry out of range [0, p-1]")
     e = e_eval(fw, rho.r, params) % (params.q - 1)
     return SerreWeight(s, e)
+
+
+@dataclass(frozen=True)
+class HChar:
+    """A character of the diagonal torus, exponent pair mod q-1."""
+
+    m1: int
+    m2: int
+    qm1: int
+
+    def swap(self):
+        return HChar(self.m2, self.m1, self.qm1)
+
+    def times_alpha(self, n):
+        m = self.qm1
+        return HChar((self.m1 + n) % m, (self.m2 - n) % m, self.qm1)
+
+    def a_exponent(self):
+        """The r with self = (self swapped) times alpha^r."""
+        return (self.m1 - self.m2) % self.qm1
+
+
+def make_char(m1, m2, params):
+    m = params.q - 1
+    return HChar(m1 % m, m2 % m, m)
 
 
 def weight_char(sigma, params):
@@ -375,8 +399,8 @@ def jh_intersect(V, rho):
     """Subsets indexing the common constituents cut out by a type.
 
     The admissible pairs exclude (s, id) at every place; the answer is the
-    interval J1 <= J <= complement of J2 in the subset lattice, in mask
-    order (free is sorted and disjoint from J1).
+    interval J1 <= J <= complement of J2 in the subset lattice, J1 the
+    places of (id, s) and J2 those of (id, id), in mask order.
     """
     f = rho.params.f
     if len(V.w) != f:
@@ -391,12 +415,4 @@ def jh_intersect(V, rho):
             j1.add(j)
         elif pair == ("id", "id"):
             j2.add(j)
-    top = complement(frozenset(j2), f)
-    if not j1 <= top:
-        return []
-    free = sorted(top - j1)
-    out = []
-    for mask in range(1 << len(free)):
-        extra = {free[i] for i in range(len(free)) if mask >> i & 1}
-        out.append(frozenset(j1) | extra)
-    return out
+    return [J for J in subsets_of(f) if j1 <= J and not J & j2]

@@ -54,29 +54,27 @@ def random_gl2(rng, params):
             return g
 
 
-def _torus_characters(module):
+def _torus_characters(chi, params):
     """The q+1 eigenline characters, in the order of h_components."""
-    chi = module.chi
-    return [chi, chi.swap()] + [chi.times_alpha(j) for j in range(module.params.q - 1)]
+    return [chi, chi.swap()] + [chi.times_alpha(j) for j in range(params.q - 1)]
 
 
-def h_component_characters(module):
+def h_component_characters(chi, params):
     """The q+1 eigencharacters of the torus action, with multiplicity.
 
     phi and w phi carry chi and chi swapped; the sum over mu != 0 of
     [mu]^j u-(mu) phi carries chi times alpha^j.
     """
-    return Counter(_torus_characters(module))
+    return Counter(_torus_characters(chi, params))
 
 
-def h_components(module):
+def h_components(chi, params):
     """Eigenvectors of the torus action, grouped by character.
 
     Returns a dict from HChar to a list of vectors.  Characters whose list
     has length one span their eigenspace; length two means the span is the
     full two dimensional eigenspace.
     """
-    params = module.params
     T = _tables.tables_for(params)
     exp, dlog = T.exp, T.dlog
     teich = _tables.teich_by_code(params)
@@ -87,20 +85,19 @@ def h_components(module):
         for j in range(q - 1)
     ]
     out = {}
-    for xi, vec in zip(_torus_characters(module), vecs):
+    for xi, vec in zip(_torus_characters(chi, params), vecs):
         out.setdefault(xi, []).append(vec)
     return out
 
 
-def eigen_check(module, vec, xi):
-    """Whether vec is an H-eigenvector with character xi, by acting with
-    the two one-parameter torus generators."""
-    params = module.params
+def eigen_check(chi, vec, xi, params):
+    """Whether vec is an H-eigenvector with character xi, in the module
+    induced from chi, by acting with the two one-parameter torus generators."""
     T = _tables.tables_for(params)
     teich = _tables.teich_by_code(params)
     g = T.generator  # exp[1], so g^expo is exp[expo mod q-1]
     for h, expo in [((g, 0, 0, 1), xi.m1), ((1, 0, 0, g), xi.m2)]:
         scal = teich[T.exp[expo % (params.q - 1)]]
-        if ps_act(module, h, vec) != scale_vector(vec, scal, params):
+        if ps_act(chi, h, vec, params) != scale_vector(vec, scal, params):
             return False
     return True

@@ -57,10 +57,8 @@ from wittcycle.padic import (
 )
 from wittcycle.principal_series import (
     ExchangeError,
-    PSModule,
     exchange_coefficient,
     exchange_constant,
-    make_char,
     ps_act,
 )
 from wittcycle.weights import (
@@ -75,6 +73,7 @@ from wittcycle.weights import (
     formal_weight_of,
     fw_apply,
     iplus_of_step,
+    make_char,
     make_rho,
     subsets_of,
 )
@@ -210,9 +209,8 @@ def _composition_identity(params, charlist, npairs, rng):
     q = params.q
     for m1, m2 in charlist:
         chi = make_char(m1, m2, params)
-        module = PSModule(chi, params)
         phi = {GL2_ID: witt_one(params)}
-        s0phi = ps_act(module, s_by_oracle(0, params), phi)
+        s0phi = ps_act(chi, s_by_oracle(0, params), phi, params)
         for v, rprime, eta_exp in [
             (phi, (chi.m1 - chi.m2) % (q - 1), chi.m2),
             (s0phi, (chi.m2 - chi.m1) % (q - 1), chi.m1),
@@ -227,16 +225,17 @@ def _composition_identity(params, charlist, npairs, rng):
                 pairs = rng.sample(pairs, npairs)
             for i, j in pairs:
                 lhs = ps_act(
-                    module,
+                    chi,
                     s_by_oracle(i, params),
-                    ps_act(module, s_by_oracle(j, params), v),
+                    ps_act(chi, s_by_oracle(j, params), v, params),
+                    params,
                 )
                 jac = jacobi_sum(i, (-j - rprime) % (q - 1), "J0", params)
                 if eta_exp % 2:
                     jac = witt_neg(jac, params)
                 red = (i - j - rprime) % (q - 1)
                 rhs = scale_vector(
-                    ps_act(module, s_by_oracle(red, params), v), jac, params
+                    ps_act(chi, s_by_oracle(red, params), v, params), jac, params
                 )
                 assert lhs == rhs, (params.p, params.f, (m1, m2), i, j)
 
@@ -255,16 +254,15 @@ def test_criterion_05_principal_series_layer():
                         chi = cyc.chars[t]
                         if (chi.m1, chi.m2) not in seen:
                             seen.add((chi.m1, chi.m2))
-                            module = PSModule(chi, params)
-                            mults = sorted(h_component_characters(module).values())
+                            mults = sorted(h_component_characters(chi, params).values())
                             assert mults == [1] * (q - 3) + [2, 2]
-                            comps = h_components(module)
+                            comps = h_components(chi, params)
                             s0p = s_operator(0, params)
                             singles = [vs[0] for vs in comps.values() if len(vs) == 1]
                             if q > 7:
                                 singles = rng.sample(singles, min(10, len(singles)))
                             for vec in singles:
-                                assert ps_act(module, s0p, vec) == {}
+                                assert ps_act(chi, s0p, vec, params) == {}
                             # the composition identity on this module's
                             # translates (exhaustive pairs at q = 7)
                             _composition_identity(

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -21,8 +22,7 @@ from wittcycle.cli import (
 )
 from wittcycle.group_algebra import s_operator, scale_vector, u_convolve
 from wittcycle.padic import Params, witt_add, witt_from_int, witt_one
-from wittcycle.principal_series import make_char
-from wittcycle.weights import KIND_ALIASES, REDUCIBLE
+from wittcycle.weights import KIND_ALIASES, REDUCIBLE, make_char
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -314,6 +314,33 @@ def test_precision_bound_exit_2(capsys):
     assert main(["field-info", "--p", "7", "--f", "1", "--N", "257"]) == 2
     assert "at most 256" in capsys.readouterr().err
     assert main(["field-info", "--p", "7", "--f", "1", "--N", "256"]) == 0
+
+
+def test_unwritable_out_exit_2(tmp_path, capsys):
+    # the report is made, then the file cannot be opened: the request named
+    # a bad path, so one error line and no traceback
+    missing = tmp_path / "missing" / "r.json"
+    argv = ["jacobi", "--p", "7", "--f", "1", "--a", "2", "--b", "4", "--out", str(missing)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: cannot write %s: " % missing)
+
+
+def test_oversized_scan_exit_2_before_listing_pairs(capsys):
+    # q = 2401 has (q-2)(q-3) = 5 752 802 pairs, above the 2^20 items one
+    # scan may build: refused at once, with or without a larger --limit
+    assert cli.MAX_SCAN_ITEMS == 1 << 20
+    base = ["stickelberger-scan", "--p", "7", "--f", "4", "--json"]
+    for extra in ([], ["--limit", "10000000"]):
+        t0 = time.perf_counter()
+        assert main(base + extra) == 2
+        assert time.perf_counter() - t0 < 1
+        assert "pass a smaller --limit" in capsys.readouterr().err
+    code, rep = _json_report(capsys, base + ["--limit", "100"])
+    assert code == 0
+    assert len(rep["items"]) == 100
 
 
 def test_inadmissible_type_exit_2(capsys):
@@ -711,6 +738,31 @@ def _fold_dropping_the_wrap(x, d, n, p):
     return out
 
 
+def _pack_joining_digit_1_reversed(x, width, params):
+    """group_algebra._pack with the p runs of each digit-1 block joined
+    lowest first, so digit 1 of every code lands in cell p-1-d instead of d."""
+    ctx = group_algebra._EXACT
+    p, f, q, pN = params.p, params.f, params.q, params.pN
+    coeffs = [0] * (q * f)
+    for g, coeff in x.items():
+        coeffs[g[2] * f : g[2] * f + f] = coeff
+    text = group_algebra._pack_format(q, f, width) % (*map(pN.__rmod__, reversed(coeffs)),)
+    n = (2 * f - 1) * width
+    run = p * n
+    parts = [decimal.Decimal(text[i : i + run]) for i in range(0, len(text), run)]
+    block, first = n * (2 * p - 1), True
+    while len(parts) > 1:
+        joined = []
+        for i in range(0, len(parts), p):
+            group = parts[i : i + p][::-1] if first else parts[i : i + p]
+            acc = group[0]
+            for part in group[1:]:
+                acc = ctx.add(ctx.shift(acc, block), part)
+            joined.append(acc)
+        parts, block, first = joined, block * (2 * p - 1), False
+    return parts[0]
+
+
 def _plus_one_at_t(x, y, params):
     # u-(t), t the code p, lies outside F_p: Frobenius fixes u-(0), where a
     # wrong coefficient would stay invisible to the check
@@ -722,8 +774,12 @@ def _plus_one_at_t(x, y, params):
 
 @pytest.mark.parametrize(
     "module, name, mutant",
-    [(group_algebra, "_fold_blocks", _fold_dropping_the_wrap), (cli, "u_convolve", _plus_one_at_t)],
-    ids=["fold-drops-the-wrap", "plus-one-at-t"],
+    [
+        (group_algebra, "_fold_blocks", _fold_dropping_the_wrap),
+        (group_algebra, "_pack", _pack_joining_digit_1_reversed),
+        (cli, "u_convolve", _plus_one_at_t),
+    ],
+    ids=["fold-drops-the-wrap", "pack-joins-digit-1-reversed", "plus-one-at-t"],
 )
 def test_frobenius_check_catches_a_wrong_kernel_at_q343(monkeypatch, module, name, mutant):
     assert all(c["pass"] for c in _relation_checks(7, 3)[1].values())

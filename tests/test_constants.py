@@ -322,9 +322,9 @@ def _oracle_reads(monkeypatch):
         monkeypatch.setattr(_tables.FieldTables, name, property(watched))
     generic = principal_series.ps_act
 
-    def counting(module, x, v):
+    def counting(chi, x, v, params):
         reads.append("ps_act")
-        return generic(module, x, v)
+        return generic(chi, x, v, params)
 
     for name, mod in list(sys.modules.items()):
         if name.startswith("wittcycle") and getattr(mod, "ps_act", None) is generic:

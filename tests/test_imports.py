@@ -174,3 +174,40 @@ def test_checker_flags_unused_parameters():
         "def _cmd_v(ns, params):\n    return None, []\n"
     )
     assert unused_parameters(src) == [(1, "f", "b"), (1, "f", "args")]
+
+
+def package_imports(source):
+    """The package modules a module imports: wittcycle.x by `import` or
+    `from wittcycle.x import`, or x by `from wittcycle import x`."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "wittcycle":
+            out |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("wittcycle."):
+            out.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            out |= {a.name.split(".")[1] for a in node.names if a.name.startswith("wittcycle.")}
+    return out
+
+
+def test_weights_sits_below_the_operator_stack():
+    # the torus characters live with the weights that make them, so the
+    # combinatorics imports no operator module, and principal_series reads
+    # the character it is given without importing weights
+    assert package_imports((SRC / "weights.py").read_text()) == {"padic"}
+    assert "weights" not in package_imports((SRC / "principal_series.py").read_text())
+    homes = sorted(
+        (name, path.name)
+        for path in SRC.glob("*.py")
+        for _, name in _defined(ast.parse(path.read_text()))
+        if name in ("HChar", "make_char")
+    )
+    assert homes == [("HChar", "weights.py"), ("make_char", "weights.py")]
+
+
+def test_checker_lists_package_imports():
+    src = (
+        "import os\nimport wittcycle.jacobi\nfrom wittcycle import _tables\n"
+        "from wittcycle.padic import Params\nfrom dataclasses import dataclass\n"
+    )
+    assert package_imports(src) == {"jacobi", "_tables", "padic"}

@@ -91,8 +91,6 @@ THREE_PIECES = {
     "_exchange_once",
     "ContractionResult",
     "ExchangeError",
-    "HChar",
-    "PSModule",
 }
 
 # what the closed forms must not read: the kernel and the exchange route,

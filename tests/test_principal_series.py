@@ -19,14 +19,12 @@ from wittcycle.padic import (
 from wittcycle.principal_series import (
     ExchangeError,
     _w_map,
-    PSModule,
     exchange_coefficient,
     exchange_constant,
     exchange_vectors,
-    make_char,
     ps_act,
 )
-from wittcycle.weights import cycles_of, make_rho
+from wittcycle.weights import cycles_of, make_char, make_rho
 
 from oracle import (
     eigen_check,
@@ -45,8 +43,7 @@ P7F3 = Params.make(7, 3)
 
 
 def test_dimension_and_multiplicities():
-    module = PSModule(make_char(2, 0, P7), P7)
-    chars = h_component_characters(module)
+    chars = h_component_characters(make_char(2, 0, P7), P7)
     assert sum(chars.values()) == 8
     assert chars[make_char(2, 0, P7)] == 2
     assert chars[make_char(0, 2, P7)] == 2
@@ -55,32 +52,30 @@ def test_dimension_and_multiplicities():
 
 def test_phi_is_unipotent_fixed_eigenvector():
     chi = make_char(2, 0, P7)
-    module = PSModule(chi, P7)
-    phi = {GL2_ID: witt_one(module.params)}
-    assert eigen_check(module, phi, chi)
+    phi = {GL2_ID: witt_one(P7)}
+    assert eigen_check(chi, phi, chi, P7)
     for x in range(7):
-        assert ps_act(module, (1, x, 0, 1), phi) == phi
+        assert ps_act(chi, (1, x, 0, 1), phi, P7) == phi
 
 
 def test_ps_act_refuses_a_singular_matrix():
     # det 0 has no character value: both Bruhat cells would read dlog[0]
-    module = PSModule(make_char(3, 1, P7), P7)
+    chi = make_char(3, 1, P7)
     phi = {GL2_ID: witt_one(P7)}
     for g in [(1, 1, 1, 1), (0, 1, 0, 1), (0, 0, 1, 0)]:
         with pytest.raises(ZeroDivisionError, match="singular"):
-            ps_act(module, g, phi)
+            ps_act(chi, g, phi, P7)
 
 
 def test_eigen_check_rejects_non_eigenvectors():
     chi = make_char(3, 1, P7)
-    module = PSModule(chi, P7)
-    phi = {GL2_ID: witt_one(module.params)}
+    phi = {GL2_ID: witt_one(P7)}
     # phi with the wrong character, and phi + w phi, whose lines carry chi
     # and chi swapped
-    assert not eigen_check(module, phi, chi.swap())
+    assert not eigen_check(chi, phi, chi.swap(), P7)
     both = {GL2_ID: witt_one(P7), GL2_W: witt_one(P7)}
-    assert not eigen_check(module, both, chi)
-    assert not eigen_check(module, both, chi.swap())
+    assert not eigen_check(chi, both, chi, P7)
+    assert not eigen_check(chi, both, chi.swap(), P7)
 
 
 def test_all_declared_components_are_eigenvectors():
@@ -90,13 +85,12 @@ def test_all_declared_components_are_eigenvectors():
     for params, (m1, m2) in [(P7, (3, 1)), (P7F2, (10, 2)), (P11F2, (7, 2))]:
         q, T, teich = params.q, _tables.tables_for(params), _tables.teich_by_code(params)
         chi = make_char(m1, m2, params)
-        module = PSModule(chi, params)
-        comps = h_components(module)
+        comps = h_components(chi, params)
         got = []
         for xi, vecs in comps.items():
             for v in vecs:
                 got.append(v)
-                assert eigen_check(module, v, xi)
+                assert eigen_check(chi, v, xi, params)
         want = [(chi, {GL2_ID: witt_one(params)}), (chi.swap(), {GL2_W: witt_one(params)})] + [
             (chi.times_alpha(j), {(1, 0, mu, 1): teich[T.pow_code(mu, j)] for mu in range(1, q)})
             for j in range(q - 1)
@@ -111,36 +105,33 @@ def test_action_is_multiplicative():
     # projection on random invertible matrices
     rng = random.Random(5)
     chi = make_char(3, 1, P7)
-    module = PSModule(chi, P7)
     vec = {GL2_ID: witt_one(P7), (1, 0, 3, 1): witt_one(P7), GL2_W: witt_from_int(2, P7)}
     mats = [random_gl2(rng, P7) for _ in range(8)]
     for h1 in mats[:4]:
         for h2 in mats[4:]:
-            joint = ps_act(module, gl2_mul(h1, h2, P7), vec)
-            stepped = ps_act(module, h1, ps_act(module, h2, vec))
+            joint = ps_act(chi, gl2_mul(h1, h2, P7), vec, P7)
+            stepped = ps_act(chi, h1, ps_act(chi, h2, vec, P7), P7)
             assert joint == stepped
 
 
 def test_operator_shifts_eigencharacter():
     chi = make_char(3, 1, P7)
-    module = PSModule(chi, P7)
-    phi = {GL2_ID: witt_one(module.params)}
+    phi = {GL2_ID: witt_one(P7)}
     for i in range(1, 6):
-        down = ps_act(module, s_by_oracle(i, P7), phi)
-        assert down and eigen_check(module, down, chi.swap().times_alpha(-i))
-        up = ps_act(module, s_operator(i, P7), phi)
-        assert up and eigen_check(module, up, chi.times_alpha(i))
+        down = ps_act(chi, s_by_oracle(i, P7), phi, P7)
+        assert down and eigen_check(chi, down, chi.swap().times_alpha(-i), P7)
+        up = ps_act(chi, s_operator(i, P7), phi, P7)
+        assert up and eigen_check(chi, up, chi.times_alpha(i), P7)
 
 
 def test_augmented_upper_operator_kills_multiplicity_one_vectors():
     chi = make_char(2, 0, P7)
-    module = PSModule(chi, P7)
     s0p = s_operator(0, P7)
     killed = 0
-    for xi, vecs in h_components(module).items():
-        if h_component_characters(module)[xi] == 1:
+    for xi, vecs in h_components(chi, P7).items():
+        if h_component_characters(chi, P7)[xi] == 1:
             for v in vecs:
-                assert ps_act(module, s0p, v) == {}
+                assert ps_act(chi, s0p, v, P7) == {}
                 killed += 1
     assert killed == 4
 
@@ -157,9 +148,8 @@ def test_composition_identity_on_eigenvectors():
         q = params.q
         for m1, m2 in charlist:
             chi = make_char(m1, m2, params)
-            module = PSModule(chi, params)
-            phi = {GL2_ID: witt_one(module.params)}
-            s0phi = ps_act(module, s_by_oracle(0, params), phi)
+            phi = {GL2_ID: witt_one(params)}
+            s0phi = ps_act(chi, s_by_oracle(0, params), phi, params)
             cases = [
                 (phi, (chi.m1 - chi.m2) % (q - 1), chi.m2),
                 (s0phi, (chi.m2 - chi.m1) % (q - 1), chi.m1),
@@ -175,16 +165,17 @@ def test_composition_identity_on_eigenvectors():
                     pairs = rng.sample(pairs, npairs)
                 for i, j in pairs:
                     lhs = ps_act(
-                        module,
+                        chi,
                         s_by_oracle(i, params),
-                        ps_act(module, s_by_oracle(j, params), v),
+                        ps_act(chi, s_by_oracle(j, params), v, params),
+                        params,
                     )
                     red = (i - j - rprime) % (q - 1)
                     jac = jacobi_sum(i, (-j - rprime) % (q - 1), "J0", params)
                     if eta_exp % 2:
                         jac = witt_neg(jac, params)
                     rhs = scale_vector(
-                        ps_act(module, s_by_oracle(red, params), v), jac, params
+                        ps_act(chi, s_by_oracle(red, params), v, params), jac, params
                     )
                     assert lhs == rhs, (params.p, params.f, (m1, m2), i, j)
 
@@ -230,7 +221,7 @@ def test_exchange_degeneracy_rule_matches_torus_count(params):
     for m1 in range(m):
         for m2 in range(m):
             psi_s = make_char(m1, m2, params)
-            counts = h_component_characters(PSModule(psi_s, params))
+            counts = h_component_characters(psi_s, params)
             for i in range(1, m):
                 target = psi_s.times_alpha(-i)
                 assert counts.get(target, 0) == 1 + (target == psi_s.swap())
@@ -244,9 +235,12 @@ def test_exchange_validates_index_range():
 
 
 def test_exchange_rejects_a_character_of_another_field():
-    # (2, 0) at i = 2 is degenerate for q = 7; at q = 49 it is a bad input
+    # (2, 0) at i = 2 is degenerate for q = 7; at q = 49 it is a bad input,
+    # to the exchange route and to the generic action alike
     with pytest.raises(ValueError, match="field size"):
         exchange_constant(make_char(2, 0, P7), 2, P7F2)
+    with pytest.raises(ValueError, match="field size"):
+        ps_act(make_char(2, 0, P7), GL2_ID, {GL2_ID: witt_one(P7F2)}, P7F2)
 
 
 @pytest.mark.parametrize("params", [P7, P7F2], ids=["q7", "q49"])
@@ -259,12 +253,12 @@ def test_upper_operator_kills_w_phi(params):
     q = params.q
     for work in (params, params.residue):
         for _ in range(2):
-            module = PSModule(make_char(rng.randrange(q - 1), rng.randrange(q - 1), work), work)
+            chi = make_char(rng.randrange(q - 1), rng.randrange(q - 1), work)
             wphi = {GL2_W: witt_one(work)}
             for i in range(q):
                 total = {0: q, q - 1: q - 1}.get(i, 0)
                 want = scale_vector(wphi, witt_from_int(total, work), work)
-                assert ps_act(module, s_operator(i, work), wphi) == want, (work.N, module.chi, i)
+                assert ps_act(chi, s_operator(i, work), wphi, work) == want, (work.N, chi, i)
 
 
 @pytest.mark.parametrize("params", [P7, P7F2, P11F2], ids=["q7", "q49", "q121"])
@@ -278,15 +272,14 @@ def test_chart_vectors_match_generic_action(params):
     for work in (params, params.residue):
         for _ in range(3):
             chi = make_char(rng.randrange(q - 1), rng.randrange(q - 1), work)
-            module = PSModule(chi, work)
-            phi = {GL2_ID: witt_one(module.params)}
-            s0phi = ps_act(module, s_by_oracle(0, work), phi)
+            phi = {GL2_ID: witt_one(work)}
+            s0phi = ps_act(chi, s_by_oracle(0, work), phi, work)
             for i in sorted({chi.a_exponent(), rng.randrange(1, q - 1)} - {0}):
                 want = (
-                    ps_act(module, s_by_oracle(i, work), s0phi),
-                    ps_act(module, s_operator(q - 1 - i, work), phi),
+                    ps_act(chi, s_by_oracle(i, work), s0phi, work),
+                    ps_act(chi, s_operator(q - 1 - i, work), phi, work),
                 )
-                assert exchange_vectors(module, i) == want, (work.N, chi, i)
+                assert exchange_vectors(chi, i, work) == want, (work.N, chi, i)
             # the monomial w-map on a random element of U- and w, with one
             # zero coefficient; the identity acts on it as itself
             keys = [GL2_W] + [(1, 0, mu, 1) for mu in range(q)]
@@ -295,9 +288,9 @@ def test_chart_vectors_match_generic_action(params):
                 for g in vrng.sample(keys, (q + 1) // 2)
             }
             x[vrng.choice(list(x))] = (0,) * work.f
-            assert _w_map(module, x) == ps_act(module, GL2_W, x), (work.N, chi)
+            assert _w_map(chi, x, work) == ps_act(chi, GL2_W, x, work), (work.N, chi)
             y = {g: c for g, c in x.items() if any(c)}
-            assert ps_act(module, GL2_ID, y) == y, (work.N, chi)
+            assert ps_act(chi, GL2_ID, y, work) == y, (work.N, chi)
 
 
 @pytest.mark.parametrize("params", [P7, P7F2, P11F2], ids=["q7", "q49", "q121"])
@@ -310,7 +303,6 @@ def test_w_map_matches_per_coordinate_reference(params):
     keys = [GL2_W] + [(1, 0, mu, 1) for mu in range(q)]
     for _ in range(3):
         chi = make_char(rng.randrange(q - 1), rng.randrange(q - 1), params)
-        module = PSModule(chi, params)
         y = {
             g: tuple(rng.randrange(params.pN) for _ in range(params.f))
             for g in rng.sample(keys, (q + 1) // 2)
@@ -325,27 +317,27 @@ def test_w_map_matches_per_coordinate_reference(params):
             else:
                 unit = witt_mul(sign, teich[T.pow_code(g[2], chi.m1 - chi.m2)], params)
                 want[(1, 0, T.inv[g[2]], 1)] = witt_mul(c, unit, params)
-        assert _w_map(module, y) == want, chi
-    assert _w_map(module, {GL2_W: witt_one(params)}) == {(1, 0, 0, 1): witt_one(params)}
-    assert _w_map(module, {}) == {}
+        assert _w_map(chi, y, params) == want, chi
+    assert _w_map(chi, {GL2_W: witt_one(params)}, params) == {(1, 0, 0, 1): witt_one(params)}
+    assert _w_map(chi, {}, params) == {}
 
 
 def test_exchange_proportionality_check_bites(monkeypatch):
     psi_s = make_char(10, 2, P7F2)
     vectors = principal_series.exchange_vectors
 
-    def off_by_one(module, i_psi):
-        u, w = vectors(module, i_psi)
+    def off_by_one(chi, i_psi, params):
+        u, w = vectors(chi, i_psi, params)
         g = next(g for g in u if g != (1, 0, 1, 1))
         u = dict(u)
-        u[g] = witt_add(u[g], witt_one(module.params), module.params)
+        u[g] = witt_add(u[g], witt_one(params), params)
         return u, w
 
     monkeypatch.setattr(principal_series, "exchange_vectors", off_by_one)
     with pytest.raises(ExchangeError):
         exchange_constant(psi_s, 5, P7F2)
     monkeypatch.setattr(
-        principal_series, "exchange_vectors", lambda m, i: ({}, vectors(m, i)[1])
+        principal_series, "exchange_vectors", lambda c, i, w: ({}, vectors(c, i, w)[1])
     )
     with pytest.raises(PrecisionError):
         exchange_constant(psi_s, 5, P7F2)
@@ -367,13 +359,13 @@ def test_exchange_check_bites_at_a_degenerate_step(monkeypatch, kind, r, alpha_p
     assert c == jacobi_sum(i_psi, params.q - 1 - chi.a_exponent(), "standard", used)
     vectors = principal_series.exchange_vectors
 
-    def off_by_p(module, i):
-        u, w = vectors(module, i)
-        if module.chi.times_alpha(-i) == module.chi.swap():
+    def off_by_p(chi, i, work):
+        u, w = vectors(chi, i, work)
+        if chi.times_alpha(-i) == chi.swap():
             assert GL2_W in u
             g = next(g for g in u if g not in (GL2_W, (1, 0, 1, 1)))
             u = dict(u)
-            u[g] = witt_add(u[g], witt_from_int(module.params.p, module.params), module.params)
+            u[g] = witt_add(u[g], witt_from_int(work.p, work), work)
         return u, w
 
     monkeypatch.setattr(principal_series, "exchange_vectors", off_by_p)
@@ -382,12 +374,11 @@ def test_exchange_check_bites_at_a_degenerate_step(monkeypatch, kind, r, alpha_p
     with pytest.raises(ExchangeError, match="not proportional"):
         breuil_constant(cycle, rho, "stepwise", params)
 
-    def d_off_by_p(module, i):
-        u, w = vectors(module, i)
-        if module.chi.times_alpha(-i) == module.chi.swap():
+    def d_off_by_p(chi, i, work):
+        u, w = vectors(chi, i, work)
+        if chi.times_alpha(-i) == chi.swap():
             # d = (-1)^m1 (q-1) at a degenerate step
-            m1, work = module.chi.m1, module.params
-            assert u[GL2_W] == witt_from_int((-1) ** m1 * (work.q - 1), work)
+            assert u[GL2_W] == witt_from_int((-1) ** chi.m1 * (work.q - 1), work)
             u = {**u, GL2_W: witt_add(u[GL2_W], witt_from_int(work.p, work), work)}
         return u, w
 
@@ -402,10 +393,10 @@ def test_exchange_refuses_w_phi_at_a_nondegenerate_step(monkeypatch):
     psi_s = make_char(10, 2, P7F2)
     vectors = principal_series.exchange_vectors
 
-    def with_w_phi(module, i_psi):
-        u, w = vectors(module, i_psi)
+    def with_w_phi(chi, i_psi, params):
+        u, w = vectors(chi, i_psi, params)
         assert GL2_W not in u
-        return {**u, GL2_W: witt_one(module.params)}, w
+        return {**u, GL2_W: witt_one(params)}, w
 
     monkeypatch.setattr(principal_series, "exchange_vectors", with_w_phi)
     for exchange in (exchange_coefficient, exchange_constant):
@@ -415,16 +406,15 @@ def test_exchange_refuses_w_phi_at_a_nondegenerate_step(monkeypatch):
 
 # ------------------------------------------------ the generic ps_act oracle
 
-def _ps_act_ref(module, x, v):
+def _ps_act_ref(chi, x, v, params):
     """ps_act term by term: each product by gl2_mul, split by Bruhat, its
     character value by pow_code, and one witt_mul and witt_add per term."""
-    params = module.params
     if isinstance(x, tuple):
         x = {x: witt_one(params)}
     T = _tables.tables_for(params)
     teich = _tables.teich_by_code(params)
     q, mul, inv = T.q, T.mul, T.inv
-    m1, m2 = module.chi.m1, module.chi.m2
+    m1, m2 = chi.m1, chi.m2
     out = {}
     for h, hcoef in x.items():
         for g, c in v.items():
@@ -454,7 +444,7 @@ _ORACLE_FIELDS = pytest.mark.parametrize("params", [P7, P7F2], ids=["q7", "q49"]
 def test_ps_act_matches_reference_dense(params, seed):
     rng = random.Random(seed)
     q = params.q
-    module = PSModule(make_char(rng.randrange(q - 1), rng.randrange(q - 1), params), params)
+    chi = make_char(rng.randrange(q - 1), rng.randrange(q - 1), params)
 
     def coeff():
         return tuple(rng.randrange(params.pN) for _ in range(params.f))
@@ -462,10 +452,10 @@ def test_ps_act_matches_reference_dense(params, seed):
     v = {g: coeff() for g in _basis(params)}
     for _ in range(5):
         g = random_gl2(rng, params)
-        assert ps_act(module, g, v) == _ps_act_ref(module, g, v)
+        assert ps_act(chi, g, v, params) == _ps_act_ref(chi, g, v, params)
     x = {random_gl2(rng, params): coeff() for _ in range(40)}
     x.update(s_by_oracle(rng.randrange(q), params))
-    assert ps_act(module, x, v) == _ps_act_ref(module, x, v)
+    assert ps_act(chi, x, v, params) == _ps_act_ref(chi, x, v, params)
 
 
 def test_ps_act_reads_each_scalar_with_one_lookup(monkeypatch):
@@ -473,14 +463,14 @@ def test_ps_act_reads_each_scalar_with_one_lookup(monkeypatch):
     # m1 dlog c + m2 dlog b off the big cell: one lookup per key, no
     # pow_code call
     rng = random.Random(4903)
-    module = PSModule(make_char(10, 3, P7F2), P7F2)
+    chi = make_char(10, 3, P7F2)
     v = {g: tuple(rng.randrange(P7F2.pN) for _ in range(2)) for g in _basis(P7F2)}
     x = {random_gl2(rng, P7F2): witt_one(P7F2) for _ in range(10)}
     x.update(s_by_oracle(5, P7F2))
-    want = _ps_act_ref(module, x, v)
+    want = _ps_act_ref(chi, x, v, P7F2)
     calls = []
     monkeypatch.setattr(_tables.FieldTables, "pow_code", lambda self, a, e: calls.append((a, e)))
-    assert ps_act(module, x, v) == want
+    assert ps_act(chi, x, v, P7F2) == want
     assert calls == []
 
 
@@ -491,12 +481,12 @@ def test_ps_act_extreme_coefficients(params):
     # basis vector collects |x| = (q-1)/2 terms
     q = params.q
     T = _tables.tables_for(params)
-    module = PSModule(make_char(1, (q - 1) // 2 - 1, params), params)
+    chi = make_char(1, (q - 1) // 2 - 1, params)
     top = (params.pN - 1,) * params.f
     x = {(T.exp[k], 0, 0, T.exp[k]): top for k in range(1, q - 1, 2)}
     v = {g: top for g in _basis(params)}
-    got = ps_act(module, x, v)
-    assert got == _ps_act_ref(module, x, v)
+    got = ps_act(chi, x, v, params)
+    assert got == _ps_act_ref(chi, x, v, params)
     assert len(got) == q + 1
 
 
@@ -504,15 +494,15 @@ def test_ps_act_extreme_coefficients(params):
 def test_ps_act_reads_coefficients_mod_pN(params):
     rng = random.Random(params.q)
     q, m = params.q, params.pN
-    module = PSModule(make_char(3, 1, params), params)
+    chi = make_char(3, 1, params)
 
     def coeff():
         return tuple(rng.randrange(-3 * m, 3 * m) for _ in range(params.f))
 
     v = {g: coeff() for g in _basis(params)}
     x = {random_gl2(rng, params): coeff() for _ in range(20)}
-    got = ps_act(module, x, v)
-    assert got == _ps_act_ref(module, x, v)
+    got = ps_act(chi, x, v, params)
+    assert got == _ps_act_ref(chi, x, v, params)
     assert all(0 <= a < m for c in got.values() for a in c)
     g = random_gl2(rng, params)
-    assert ps_act(module, g, v) == _ps_act_ref(module, g, v)
+    assert ps_act(chi, g, v, params) == _ps_act_ref(chi, g, v, params)
