@@ -12,6 +12,7 @@ pass, 1 some check failed, 2 the request itself was invalid.
 """
 
 import argparse
+import errno
 import json
 import os
 import random
@@ -86,15 +87,21 @@ def canonical_json(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+# values _ser returns as they are (bool is an int)
+_SCALARS = (int, str, type(None))
+
+
 def _ser(x):
-    if x is PRECISION_INF:
-        return None  # a valuation unresolved at the working precision
+    if isinstance(x, _SCALARS):
+        return x
+    if isinstance(x, dict):
+        return {str(k): v if isinstance(v, _SCALARS) else _ser(v) for k, v in x.items()}
+    if isinstance(x, (tuple, list)):
+        return [v if isinstance(v, _SCALARS) else _ser(v) for v in x]
     if isinstance(x, (frozenset, set)):
         return sorted(x)
-    if isinstance(x, (tuple, list)):
-        return [_ser(v) for v in x]
-    if isinstance(x, dict):
-        return {str(k): _ser(v) for k, v in x.items()}
+    if x is PRECISION_INF:
+        return None  # a valuation unresolved at the working precision
     return x
 
 
@@ -252,10 +259,12 @@ def _scan_pairs(params, limit, rng):
 
 def _scan_chunk(args):
     params, pairs = args
+    residue = params.residue
     items = []
     for a, b in pairs:
         u, unit = stickelberger_data(a, b, params)
         v, lead = valuation_and_unit(jacobi_sum(a, b, "J0", params), params)
+        lead = _ser(lead)  # one list (or None) for the output and the check
         items.append(
             _item(
                 {"a": a, "b": b},
@@ -263,7 +272,7 @@ def _scan_chunk(args):
                 "digit-carry count and factorial unit",
                 [
                     _check("valuation", u, v),
-                    _check("lead", witt_from_int(unit, params.residue), lead),
+                    _check("lead", witt_from_int(unit, residue), lead),
                 ],
             )
         )
@@ -817,8 +826,29 @@ def build_parser():
     return parser
 
 
+def _unwritable(path):
+    """Why an --out path cannot be written, as an OS error message, or None.
+
+    Looks without opening, so a refused path is neither created nor
+    truncated; an open that still fails is reported after the run.
+    """
+    if os.path.isdir(path):
+        return os.strerror(errno.EISDIR)
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        return os.strerror(errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT)
+    if not os.access(parent, os.W_OK):
+        return os.strerror(errno.EACCES)
+    return None
+
+
 def main(argv=None):
     ns = build_parser().parse_args(argv)
+    reason = ns.out and _unwritable(ns.out)
+    if reason:
+        # refused before the run, which may take minutes
+        print("error: cannot write %s: %s" % (ns.out, reason), file=sys.stderr)
+        return 2
     try:
         report = run(ns)
     except ValueError as e:

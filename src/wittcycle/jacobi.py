@@ -33,6 +33,8 @@ S = bit_length(2 m^3) and c = ceil(2^S / m).  Writing c m = 2^S + d with
 0 <= d < m, the error term e d / (m 2^S) stays below 1/m because
 e d < 2 m^3 < 2^S, so the floor is exact for every e < 2 m^2; and
 e c < 2^50 at q = 4096, so no lane product carries into the next lane.
+The indices are read back by one struct of n little-endian 64-bit words,
+cached per n, and one itemgetter gathers their table entries for the sum.
 
 stickelberger_data predicts the valuation and the leading digit of the sum
 from base-p digit counting, without summing anything; the two routes are
@@ -40,12 +42,12 @@ checked against each other in the tests.
 """
 
 import math
-import sys
-from array import array
+import struct
 from functools import lru_cache
+from operator import itemgetter
 
 from wittcycle import _tables
-from wittcycle.padic import digits, witt_add, witt_one, witt_pack, witt_unpack
+from wittcycle.padic import witt_add, witt_one, witt_pack, witt_unpack
 
 
 @lru_cache(maxsize=None)
@@ -59,22 +61,21 @@ def _packed_powers(params):
     return packed, width
 
 
+@lru_cache(maxsize=None)
+def _lane_struct(n):
+    """n little-endian 64-bit lanes, the first value in the lowest lane."""
+    return struct.Struct("<%dQ" % n)
+
+
 def _pack_lanes(values):
     """Nonnegative values below 2^64 as one integer, one 64-bit lane each,
     the first value in the lowest lane."""
-    lanes = array("Q", values)
-    if sys.byteorder == "big":
-        lanes.byteswap()
-    return int.from_bytes(lanes.tobytes(), "little")
+    return int.from_bytes(_lane_struct(len(values)).pack(*values), "little")
 
 
 def _unpack_lanes(x, n):
-    """The n lowest 64-bit lanes of x, lowest first."""
-    lanes = array("Q")
-    lanes.frombytes(x.to_bytes(8 * n, "little"))
-    if sys.byteorder == "big":
-        lanes.byteswap()
-    return lanes
+    """The n lowest 64-bit lanes of x, lowest first, as a tuple."""
+    return _lane_struct(n).unpack(x.to_bytes(8 * n, "little"))
 
 
 @lru_cache(maxsize=None)
@@ -132,7 +133,7 @@ def jacobi_sum(a, b, zero_convention, params):
     # alpha = g^k over k in [1, q-2] skips the boundary elements 0 and 1;
     # a lane holds the exponent e of the term at its g^k, plus its offset
     indices = _unpack_lanes(_lanes_mod(a * K + b * Z, q - 1, n) + O, n)
-    acc = sum(map(table.__getitem__, indices))
+    acc = sum(itemgetter(*indices)(table))  # n >= 5 lanes, as p >= 7
     out = witt_unpack(acc, width, params.f - 1, params)
     if zero_convention == "standard":
         if a == 0:
@@ -160,19 +161,20 @@ def stickelberger_data(a, b, params):
     s = a + b
     if s > q - 1:
         s -= q - 1
-    ad = digits(a, p, f)
-    bd = digits(b, p, f)
-    sd = digits(s, p, f)
-    total = sum(p - 1 - (ad[j] + bd[j] - sd[j]) for j in range(f))
+    # the digits of a, b and s, least significant first, in one pass
+    fact = _factorials_mod(p)
+    total = 0
+    num = den = 1
+    for _ in range(f):
+        a, x = divmod(a, p)
+        b, y = divmod(b, p)
+        s, z = divmod(s, p)
+        total += p - 1 - (x + y - z)
+        num = num * fact[x] * fact[y] % p
+        den = den * fact[z] % p
     if total % (p - 1):
         raise ArithmeticError("digit count is not divisible by p-1")
     u = total // (p - 1)
-    num = 1
-    for j in range(f):
-        num = (num * factorial_mod_p(ad[j], p) * factorial_mod_p(bd[j], p)) % p
-    den = 1
-    for j in range(f):
-        den = (den * factorial_mod_p(sd[j], p)) % p
     unit = (num * pow(den, p - 2, p)) % p
     if (f - 1 + u) % 2:
         unit = (-unit) % p
@@ -182,3 +184,9 @@ def stickelberger_data(a, b, params):
 def factorial_mod_p(n, p):
     """n! mod p for digit-sized n; used by the leading-term formulas."""
     return math.factorial(n) % p
+
+
+@lru_cache(maxsize=None)
+def _factorials_mod(p):
+    """x! mod p for every digit x in [0, p-1]."""
+    return [factorial_mod_p(x, p) for x in range(p)]

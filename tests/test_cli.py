@@ -9,11 +9,13 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wittcycle import _tables, cli, group_algebra, padic, principal_series
 from wittcycle.cli import (
     _pool_size,
     _scan_pairs,
+    _ser,
     _selftest_stickelberger,
     build_parser,
     canonical_json,
@@ -21,7 +23,7 @@ from wittcycle.cli import (
     run,
 )
 from wittcycle.group_algebra import s_operator, scale_vector, u_convolve
-from wittcycle.padic import Params, witt_add, witt_from_int, witt_one
+from wittcycle.padic import PRECISION_INF, Params, witt_add, witt_from_int, witt_one
 from wittcycle.weights import KIND_ALIASES, REDUCIBLE, make_char
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -316,16 +318,29 @@ def test_precision_bound_exit_2(capsys):
     assert main(["field-info", "--p", "7", "--f", "1", "--N", "256"]) == 0
 
 
-def test_unwritable_out_exit_2(tmp_path, capsys):
-    # the report is made, then the file cannot be opened: the request named
-    # a bad path, so one error line and no traceback
+def test_unwritable_out_exit_2(tmp_path, capsys, monkeypatch):
+    # the request named a bad path, so one error line and no traceback; it is
+    # refused before the run, so the 8000 Jacobi sums are never summed, and
+    # nothing is created
     missing = tmp_path / "missing" / "r.json"
-    argv = ["jacobi", "--p", "7", "--f", "1", "--a", "2", "--b", "4", "--out", str(missing)]
-    assert main(argv) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    [line] = err.splitlines()
-    assert line.startswith("error: cannot write %s: " % missing)
+    jacobi_argv = ["jacobi", "--p", "7", "--f", "1", "--a", "2", "--b", "4"]
+    monkeypatch.setattr(cli, "jacobi_sum", _raise_jacobi)
+    scan_argv = ["stickelberger-scan", "--p", "11", "--f", "3", "--limit", "8000"]
+    for argv, path in [
+        (jacobi_argv, missing),
+        (scan_argv, missing),
+        (scan_argv + ["--json"], tmp_path),
+    ]:
+        assert main(argv + ["--out", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith("error: cannot write %s: " % path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def _raise_jacobi(*args):
+    raise AssertionError("a refused --out still ran the Jacobi sums")
 
 
 def test_oversized_scan_exit_2_before_listing_pairs(capsys):
@@ -414,7 +429,49 @@ def test_unresolved_valuation_is_a_failing_check(capsys, argv):
     assert rep["summary"]["fail"] > 0
 
 
-# sha256 of 17 --json reports, 15 quick and two at the full level, pinned so
+def _ser_by_recursion(x):
+    # _ser as it was written before its scalar fast path
+    if x is PRECISION_INF:
+        return None
+    if isinstance(x, (frozenset, set)):
+        return sorted(x)
+    if isinstance(x, (tuple, list)):
+        return [_ser_by_recursion(v) for v in x]
+    if isinstance(x, dict):
+        return {str(k): _ser_by_recursion(v) for k, v in x.items()}
+    return x
+
+
+_SER_SCALARS = st.one_of(
+    st.integers(), st.booleans(), st.none(), st.text(max_size=3), st.just(PRECISION_INF)
+)
+_SER_VALUES = st.recursive(
+    _SER_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.frozensets(st.integers(), max_size=4),
+        st.dictionaries(st.one_of(st.integers(), st.booleans()), inner, max_size=4),
+        st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SER_VALUES)
+@example(PRECISION_INF)
+@example({1: PRECISION_INF, 2: (3, PRECISION_INF), 3: {4: [frozenset({9, 5})]}})
+@example([(1, 2), [PRECISION_INF, None, True], {True: "x"}])
+def test_ser_matches_the_recursive_definition(x):
+    want = _ser_by_recursion(x)
+    got = _ser(x)
+    assert got == want
+    # bools stay bools, keys are strs, inf is null: the same canonical bytes
+    assert canonical_json(got) == canonical_json(want)
+
+
+# sha256 of 18 --json reports, 16 quick and two at the full level, pinned so
 # that a change meant to keep the output byte for byte is checked on every
 # test run; the four selftest reports record their seed, Frobenius pairs and
 # contraction tuples, so they pin what was sampled too
@@ -460,6 +517,9 @@ _REPORT_DIGESTS = [
      "2dafb04587d32ecbcbfac61d4b5f70575a9f3d12ca831fb04a354b389c55d39f"),
     ("jacobi --p 7 --f 2 --a 5 --b 11",
      "332edd5db2a1270f0c24297a5bf18d242bd3f8e7a3307ce9ca5cdb9a6f869148"),
+    # the benchmark's jacobi-scan call at q = 1331, seed 1
+    ("stickelberger-scan --p 11 --f 3 --limit 8000 --seed 1",
+     "2d43567267caf909ef57be3e5b9915c5298df559d3c8b82e017aae5f8ca4ae85"),
 ]
 
 
@@ -482,12 +542,18 @@ def test_selftest_reproducible(capsys):
 
 
 def test_jobs_do_not_change_output(capsys):
-    base = ["stickelberger-scan", "--p", "7", "--f", "1", "--json"]
-    main(base)
-    serial = capsys.readouterr().out
-    main(base + ["--jobs", "2"])
-    parallel = capsys.readouterr().out
-    assert serial == parallel
+    for argv in [
+        "stickelberger-scan --p 7 --f 1",
+        # 500 sampled items, each crossing the process boundary on the way back
+        "stickelberger-scan --p 11 --f 2 --limit 500 --seed 4",
+    ]:
+        base = argv.split() + ["--json"]
+        assert main(base) == 0
+        serial = capsys.readouterr().out
+        assert main(base + ["--jobs", "2"]) == 0
+        parallel = capsys.readouterr().out
+        assert serial == parallel
+    assert len(json.loads(serial)["items"]) == 500
 
 
 def test_import_leaves_the_process_pool_unloaded():

@@ -49,8 +49,9 @@ JACOBI = [
     "_lane_divisor",
     "_pack_lanes",
     "_unpack_lanes",
+    "_lane_struct",
 ]
-DIGIT_COUNTING = {"stickelberger_data", "factorial_mod_p"}
+DIGIT_COUNTING = {"stickelberger_data", "factorial_mod_p", "_factorials_mod"}
 
 # the generic products and what tests/oracle.py builds with them;
 # eigen_check compares ps_act with a scale_vector multiple, column arithmetic

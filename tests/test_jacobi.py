@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from wittcycle.jacobi import (
 )
 from wittcycle.padic import (
     Params,
+    digits,
     valuation_and_unit,
     witt_add,
     witt_neg,
@@ -91,6 +93,42 @@ def test_stickelberger_preconditions():
         stickelberger_data(2, 4, P71)  # a + b = q - 1
     with pytest.raises(ValueError):
         stickelberger_data(2, 6, P71)
+
+
+def _stickelberger_by_digits(a, b, params):
+    # digit by digit: three digits calls and unreduced factorials
+    p, f, q = params.p, params.f, params.q
+    ad, bd, sd = (digits(n, p, f) for n in (a, b, (a + b) % (q - 1)))
+    total = sum(p - 1 - (ad[j] + bd[j] - sd[j]) for j in range(f))
+    assert total % (p - 1) == 0
+    u = total // (p - 1)
+    num = math.prod(math.factorial(d) for d in ad + bd)
+    den = math.prod(math.factorial(d) for d in sd)
+    return u, num * pow(den, -1, p) * (-1) ** (f - 1 + u) % p
+
+
+@pytest.mark.parametrize("p, f, sample", [(7, 2, None), (11, 3, 2000), (7, 4, 2000)])
+def test_stickelberger_matches_digit_by_digit(p, f, sample):
+    P = Params.make(p, f)
+    q = P.q
+    if sample is None:
+        pairs = [(a, b) for a in range(1, q - 1) for b in range(1, q - 1) if a + b != q - 1]
+    else:
+        rng = random.Random(q)
+        pairs = []
+        while len(pairs) < sample:
+            a, b = rng.randrange(1, q - 1), rng.randrange(1, q - 1)
+            if a + b != q - 1:
+                pairs.append((a, b))
+    for a, b in pairs:
+        assert stickelberger_data(a, b, P) == _stickelberger_by_digits(a, b, P), (a, b)
+    # the two refused edges: an exponent outside (0, q-1), and a + b = q-1
+    for a, b in [(0, 1), (1, 0), (q - 1, 1), (1, q - 1), (0, q - 1)]:
+        with pytest.raises(ValueError, match="need 0 < a, b < q-1"):
+            stickelberger_data(a, b, P)
+    for a in (1, q // 2, q - 2):
+        with pytest.raises(ValueError, match="boundary case"):
+            stickelberger_data(a, q - 1 - a, P)
 
 
 def test_exhaustive_prediction_f1():
